@@ -54,36 +54,6 @@ def test_cached_rerun_matches_and_hits():
         assert _digests(cold) == _digests(warm)
 
 
-def test_batched_links_match_unbatched_bit_exact():
-    """Link-layer event batching must not change results, only speed.
-
-    The batcher's seq-reservation contract promises the batched run fires
-    the same callbacks at the same (time, seq) points as the unbatched
-    one, so digests must agree bit-for-bit — and the logical event count
-    (processed + absorbed) must be *exactly* the unbatched event count.
-    """
-    from dataclasses import replace
-
-    from repro.harness.experiment import run_experiment
-    from repro.harness.factories import pi2_factory
-    from repro.harness.scenarios import coexistence_pair
-
-    base = coexistence_pair(
-        pi2_factory(),
-        capacity_bps=40_000_000,
-        rtt=0.020,
-        duration=5.0,
-        warmup=2.0,
-        seed=7,
-    )
-    off = run_experiment(replace(base, link_batching=False))
-    on = run_experiment(replace(base, link_batching=True))
-    assert on.digest() == off.digest()
-    assert on.bed.sim.events_batched > 0  # the batcher actually engaged
-    logical_on = on.bed.sim.events_processed + on.bed.sim.events_batched
-    assert logical_on == off.bed.sim.events_processed
-
-
 def test_supervised_matches_serial_bit_exact():
     """The watchdogged backend must be invisible in the results."""
     serial = run_coexistence_grid(coupled_factory(), seed=7, **TINY_GRID)
@@ -111,36 +81,6 @@ def test_journal_resume_matches_uninterrupted_bit_exact():
         assert _digests(first) == _digests(resumed)
         assert resumed.recovery.replayed == len(first)
         assert resumed.recovery.executed == 0
-
-
-def test_wheel_matches_heap_grid_bit_exact():
-    """The timer-wheel event core must be invisible in the results.
-
-    Same grid, same seeds, both scheduler backends: every cell's digest
-    must agree bit-for-bit with the reference binary heap.
-    """
-    heap = run_coexistence_grid(
-        coupled_factory(), seed=7, scheduler="heap", **TINY_GRID
-    )
-    wheel = run_coexistence_grid(
-        coupled_factory(), seed=7, scheduler="wheel", **TINY_GRID
-    )
-    assert _digests(heap) == _digests(wheel)
-
-
-def test_scheduler_bench_parity_and_speedup_gate():
-    """Wheel vs heap on the 4-cell population×spread grid.
-
-    Parity (identical dispatch trace + experiment digest) is a hard
-    bit-exactness gate; the aggregate events/sec ratio is the perf gate
-    the tentpole promises: >= 1.4x over the reference heap.
-    """
-    from repro.perf import bench_scheduler
-
-    record = bench_scheduler(events_per_cell=60_000, seed=7)
-    assert record.extra["matches_heap"] is True
-    assert record.extra["cells"] == 4
-    assert record.extra["speedup_vs_heap"] >= 1.4
 
 
 def test_shared_cache_single_flight():
@@ -190,21 +130,17 @@ def test_bench_payload_shape(tmp_path=None):
         "engine_events",
         "cancel_churn",
         "experiment_light_tcp",
-        "link_batching",
         "grid_serial",
         "grid_parallel",
         "grid_cache_cold",
         "grid_cache_warm",
         "grid_supervised",
         "figure_resume",
-        "scheduler",
         "shared_cache",
     } <= names
     by_name = {bench["name"]: bench for bench in payload["benchmarks"]}
     assert by_name["grid_parallel"]["matches_serial"] is True
     assert by_name["grid_cache_warm"]["matches_cold"] is True
-    assert by_name["link_batching"]["matches_unbatched"] is True
-    assert by_name["link_batching"]["events_batched"] > 0
     assert by_name["engine_events"]["events_per_sec"] > 0
     assert by_name["grid_supervised"]["matches_serial"] is True
     assert by_name["grid_supervised"]["matches_resume"] is True
@@ -212,8 +148,6 @@ def test_bench_payload_shape(tmp_path=None):
     assert by_name["figure_resume"]["matches_serial"] is True
     assert by_name["figure_resume"]["matches_resume"] is True
     assert by_name["figure_resume"]["journal_overhead_ok"] is True
-    assert by_name["scheduler"]["matches_heap"] is True
-    assert by_name["scheduler"]["speedup_vs_heap"] > 0
     assert by_name["shared_cache"]["single_flight_ok"] is True
     if tmp_path is not None:
         path = write_bench_json(payload, tmp_path / "BENCH_smoke.json")
@@ -227,8 +161,6 @@ def main() -> int:
     test_serial_rerun_is_bit_identical()
     test_parallel_matches_serial_bit_exact()
     test_cached_rerun_matches_and_hits()
-    test_batched_links_match_unbatched_bit_exact()
-    test_wheel_matches_heap_grid_bit_exact()
     test_shared_cache_single_flight()
     test_supervised_matches_serial_bit_exact()
     test_journal_resume_matches_uninterrupted_bit_exact()

@@ -1,7 +1,7 @@
 """SCHED — scheduling expressions must be virtual-time derived.
 
 Every event the engine dispatches comes from a ``schedule``/``at``/
-``at_reserved``/``stream_schedule``/``every`` call; the time argument is
+``call_later``/``call_at``/``every`` call; the time argument is
 where wall-clock contamination or past-time bugs enter.  The engine
 raises at runtime for past times, but only on the seed/path that happens
 to reach the call — this rule rejects the two statically decidable bug
@@ -32,7 +32,7 @@ __all__ = ["SchedulingRule"]
 
 #: Engine scheduling entry points (see repro.sim.engine.Simulator).
 _SCHEDULING_METHODS = frozenset(
-    {"schedule", "at", "at_reserved", "stream_schedule", "every", "advance_to"}
+    {"schedule", "at", "call_later", "call_at", "every"}
 )
 
 
@@ -66,7 +66,7 @@ class SchedulingRule(Rule):
     name = "SCHED"
     severity = Severity.ERROR
     description = (
-        "schedule/at/at_reserved/stream_schedule/every time arguments "
+        "schedule/at/call_later/call_at/every time arguments "
         "must derive from virtual time — no negative literals, no "
         "wall-clock reads"
     )

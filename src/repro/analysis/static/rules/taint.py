@@ -44,8 +44,7 @@ or ``sorted`` (order re-established) stops being tainted.
 **Sinks** (where tainted values are reported):
 
 * the time/delay argument of every engine scheduling entry point
-  (``schedule``, ``at``, ``call_later``, ``call_at``, ``at_reserved``,
-  ``stream_schedule``, ``every``, ``advance_to``);
+  (``schedule``, ``at``, ``call_later``, ``call_at``, ``every``);
 * assignments to probability-named targets (the PROB vocabulary) — the
   coupling law ``pc = (p')²`` is only meaningful for a reproducible p';
 * digest inputs — arguments to ``hashlib`` constructors and to
@@ -87,10 +86,7 @@ _SCHED_SINKS = frozenset(
     {
         "schedule",
         "at",
-        "at_reserved",
-        "stream_schedule",
         "every",
-        "advance_to",
         "call_later",
         "call_at",
     }

@@ -105,13 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(packet conservation, p in [0,1], clock)")
     run.add_argument("--fault", metavar="SPEC", action="append", default=[],
                      help="inject a fault; repeatable. " + FAULT_SPEC_HELP)
-    run.add_argument("--no-link-batching", action="store_true",
-                     help="dispatch one event per packet instead of batched "
-                          "drains (results are bit-exact either way; use for "
-                          "A/B timing or debugging)")
-    run.add_argument("--scheduler", choices=["heap", "wheel"], default="wheel",
-                     help="event-core backend (results are bit-exact either "
-                          "way; heap is the reference for A/B checks)")
     _add_trace_options(run)
 
     co = sub.add_parser("coexist", help="DCTCP vs Cubic at one grid point")
@@ -160,11 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--heartbeat-timeout", type=float, default=None,
                       metavar="S",
                       help="kill and retry a worker silent for S seconds")
-    grid.add_argument("--scheduler", choices=["heap", "wheel"],
-                      default="wheel",
-                      help="event-core backend for every cell (bit-exact "
-                           "either way; CI diffs the printed grid digest "
-                           "between the two)")
     _add_perf_options(grid)
     _add_trace_options(grid)
 
@@ -431,9 +419,7 @@ def _cmd_bench(args, out) -> int:
         b["name"] for b in payload["benchmarks"]
         if b.get("matches_serial") is False
         or b.get("matches_cold") is False
-        or b.get("matches_unbatched") is False
         or b.get("matches_resume") is False
-        or b.get("matches_heap") is False
         or b.get("matches_untraced") is False
     ]
     if mismatches:
@@ -583,7 +569,6 @@ def _cmd_grid(args, out) -> int:
             supervisor=supervisor,
             journal=journal,
             resume=args.resume,
-            scheduler=args.scheduler,
             tracer=tracer,
         )
     finally:
@@ -626,8 +611,8 @@ def _cmd_grid(args, out) -> int:
     if not outcome.complete:
         print(outcome.failure_report(), file=out)
         return 1
-    # One line CI can diff between --scheduler=heap and --scheduler=wheel
-    # runs: equal grids hash equal, any cell diverging changes it.
+    # One line CI compares with the golden grid digest: equal grids hash
+    # equal, any cell diverging changes it.
     combined = hashlib.sha256(
         "".join(cell.result.digest_hex() for cell in outcome).encode("ascii")
     ).hexdigest()
@@ -645,10 +630,6 @@ def _cmd_run(args, out) -> int:
     if args.validate or args.fault:
         faults = tuple(parse_fault_spec(spec) for spec in args.fault)
         exp = replace(exp, validate=args.validate, faults=faults)
-    if args.no_link_batching:
-        exp = replace(exp, link_batching=False)
-    if args.scheduler != exp.scheduler:
-        exp = replace(exp, scheduler=args.scheduler)
     tracer = _make_tracer(args)
     result = run_experiment(exp, tracer=tracer)
     _close_tracer(tracer, out)

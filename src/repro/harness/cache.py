@@ -143,8 +143,6 @@ def experiment_cache_key(experiment: Experiment) -> Optional[str]:
         f"sample_period={experiment.sample_period!r}",
         f"record_sojourns={experiment.record_sojourns!r}",
         f"validate={experiment.validate!r}",
-        f"link_batching={experiment.link_batching!r}",
-        f"scheduler={experiment.scheduler!r}",
         f"max_events={experiment.max_events!r}",
         f"max_wall_seconds={experiment.max_wall_seconds!r}",
         f"flows={[repr(group) for group in experiment.flows]!r}",

@@ -99,25 +99,11 @@ class Experiment:
     faults: Sequence[Fault] = field(default_factory=tuple)
     #: Run the periodic invariant checker alongside the simulation.
     validate: bool = False
-    #: Drain back-to-back bottleneck transmissions in single event
-    #: dispatches (bit-exact vs. the event-per-packet schedule; see
-    #: :mod:`repro.net.link`).  Off is only useful for A/B measurement.
-    link_batching: bool = True
-    #: Event-scheduler backend: ``"wheel"`` (timer wheel + overflow heap,
-    #: the default) or ``"heap"`` (the reference single binary heap).
-    #: Both dispatch in the identical (time, seq) order, so results are
-    #: bit-exact either way; heap is kept selectable for A/B parity runs
-    #: (``repro run --scheduler=heap``).
-    scheduler: str = "wheel"
     #: Watchdog budgets for the run (None = unlimited).
     max_events: Optional[int] = None
     max_wall_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.scheduler not in ("heap", "wheel"):
-            raise ConfigError(
-                f"scheduler must be 'heap' or 'wheel' (got {self.scheduler!r})"
-            )
         if self.capacity_bps <= 0:
             raise ConfigError(f"capacity must be positive (got {self.capacity_bps})")
         if self.duration <= 0:
@@ -375,7 +361,7 @@ def run_experiment(
     :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot lands on
     ``result.telemetry``.
     """
-    sim = Simulator(scheduler=experiment.scheduler)
+    sim = Simulator()
     streams = RandomStreams(experiment.seed)
     aqm = experiment.aqm_factory(streams.stream("aqm"))
     # Instrumentation must precede Dumbbell construction: attaching the
@@ -384,7 +370,6 @@ def run_experiment(
     install_aqm_tracer(aqm, tracer)
     sim.set_tracer(engine_tracer(tracer))
     registry = MetricsRegistry()
-    registry.set("scheduler", experiment.scheduler)
     registry.set("seed", experiment.seed)
     sim.register_metrics(registry)
     if aqm is not None:
@@ -397,7 +382,6 @@ def run_experiment(
         buffer_packets=experiment.buffer_packets,
         sample_period=experiment.sample_period,
         record_sojourns=experiment.record_sojourns,
-        link_batching=experiment.link_batching,
     )
     for group in experiment.flows:
         for _ in range(group.count):

@@ -9,7 +9,6 @@ bar-chart panels).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -121,7 +120,6 @@ def run_coexistence_grid(
     supervisor=None,
     journal=None,
     resume: bool = False,
-    scheduler: str = "wheel",
     tracer=None,
 ) -> GridOutcome:
     """Run the Figure 15–18 grid; one long-running flow per class per cell.
@@ -180,10 +178,6 @@ def run_coexistence_grid(
                 warmup=min(warmup, d / 2),
                 seed=seed,
             )
-            if scheduler != exp.scheduler:
-                # A/B parity runs (CI's heap-vs-wheel digest gate) swap
-                # the engine backend without touching the cell config.
-                exp = dataclasses.replace(exp, scheduler=scheduler)
             cells.append((link, rtt, exp))
 
     outcome = GridOutcome()

@@ -3,43 +3,24 @@
 A :class:`Pipe` models the uncongested parts of the paper's testbed paths:
 the per-flow netem delay that sets each flow's base RTT, and the reverse
 (ACK) path, which the testbed keeps uncongested.  Packets are delivered to
-the sink exactly ``delay`` seconds after entering; ordering is preserved
-because arrivals are served in (time, seq) order whether they sit on the
-event heap or on the pipe's arrival train.
-
-Arrival train (event batching)
-------------------------------
-A pipe holds ``rate x delay`` packets in flight — hundreds per flow at
-paper-scale bandwidth-delay products — and the naive one-heap-event-per-
-packet schedule makes those in-flight packets the bulk of the simulator's
-heap, taxing *every* push/pop.  When ``batching`` is enabled (the
-default) in-flight packets instead sit on a per-pipe FIFO *train* of
-``(due, seq, packet)`` entries served by a single pending heap event.
-Each drain dispatch delivers its due entry, then keeps delivering
-consecutive entries inline — advancing the clock via
-:meth:`~repro.sim.engine.Simulator.advance_to` — for as long as the next
-entry's ``(due, seq)`` sorts strictly before the next foreign heap event
-and within the run horizon; otherwise one continuation event is
-scheduled *with the entry's reserved seq*, which is exactly the event the
-unbatched pipe would have scheduled.  Sequence numbers are reserved at
-``deliver()`` time (:meth:`~repro.sim.engine.Simulator.reserve_seq`), so
-the (time, seq) identity of every arrival is identical with batching on
-or off and results are bit-exact either way.
+the sink exactly ``delay`` seconds after entering.  Each packet in flight
+is one fire-and-forget engine event
+(:meth:`~repro.sim.engine.Simulator.call_later`), so arrivals keep their
+order and interleave with every other event in exact ``(time, seq)``
+order.
 
 :class:`DropPipe` is the shared base for pipes that discard packets on the
 way through; :class:`LossyPipe` (independent Bernoulli loss) lives here,
 and the adverse-path family — Gilbert–Elliott bursty loss, corruption,
 reordering, duplication — lives in :mod:`repro.net.faults`.  Pipes that
 perturb a packet's delay (reordering's ``extra_delay``, duplication's
-``dup_gap``) schedule those perturbed arrivals as ordinary heap events —
-the train stays sorted because it only ever carries base-delay arrivals.
+``dup_gap``) schedule those perturbed arrivals the same way.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Optional
 
 from repro.net.link import Sink
 from repro.net.packet import Packet
@@ -59,10 +40,6 @@ class Pipe:
         One-way delay in seconds (0 delivers synchronously).
     sink:
         Downstream recipient; may be attached after construction.
-    batching:
-        Keep in-flight packets on the arrival train (one pending heap
-        event per pipe) instead of one heap event each.  Bit-exact
-        either way; disable only for A/B measurement or debugging.
     """
 
     def __init__(
@@ -70,20 +47,13 @@ class Pipe:
         sim: Simulator,
         delay: float,
         sink: Optional[Sink] = None,
-        batching: bool = True,
     ):
         if delay < 0:
             raise ValueError(f"delay cannot be negative (got {delay})")
         self.sim = sim
         self.delay = delay
         self.sink = sink
-        self.batching = batching
         self.delivered = 0
-        #: In-flight arrivals, ascending (due, seq): constant base delay
-        #: and a monotonic clock keep appends sorted.  One stream-lane
-        #: continuation is pending whenever the train is non-empty.
-        self._train: Deque[Tuple[float, int, Packet]] = deque()
-        self._train_pending = False
 
     def deliver(self, packet: Packet) -> None:
         if self.sink is None:
@@ -95,55 +65,8 @@ class Pipe:
         if delay <= 0:
             self._arrive(packet)
             return
-        if self.batching and extra_delay == 0.0:
-            sim = self.sim
-            # Reserve the seq the unbatched schedule() would consume here,
-            # so tie-breaks are identical whether this arrival rides the
-            # train or (after a batch break) goes on the heap itself.
-            self._train.append((sim.now + delay, sim.reserve_seq(), packet))
-            if not self._train_pending:
-                due, seq, _ = self._train[0]
-                sim.stream_schedule(due, seq, self._drain)
-                self._train_pending = True
-        else:
-            # Fire-and-forget: arrivals are never cancelled, so the
-            # pooled (no-handle) schedule avoids one Event allocation
-            # per packet on the unbatched / perturbed-delay paths.
-            self.sim.call_later(delay, self._arrive, packet)
-
-    def _drain(self) -> None:
-        """Deliver the due train entry, then coalesce successors inline.
-
-        Each inline delivery absorbs what would have been one heap event;
-        the first entry is the dispatch itself and always delivers.  The
-        remainder (if an event intervenes, the horizon ends, or batching
-        is interrogated outside ``run``) is rescheduled as one event
-        carrying the head entry's reserved seq.
-        """
-        sim = self.sim
-        train = self._train
-        horizon = sim.horizon
-        delivered = 0
-        while train:
-            due, seq, packet = train[0]
-            if delivered:
-                # Foreign-event check: deliver inline only while (due,
-                # seq) sorts strictly before every pending event.
-                if horizon is None or due > horizon:
-                    break
-                if sim.pending_before(due, seq):
-                    sim.note_batch_break()
-                    break
-                sim.advance_to(due)
-            train.popleft()
-            delivered += 1
-            self._arrive(packet)
-        if train:
-            due, seq, _ = train[0]
-            sim.stream_schedule(due, seq, self._drain)
-            self._train_pending = True
-        else:
-            self._train_pending = False
+        # Fire-and-forget: arrivals are never cancelled.
+        self.sim.call_later(delay, self._arrive, packet)
 
     def _arrive(self, packet: Packet) -> None:
         self.delivered += 1
@@ -165,9 +88,8 @@ class DropPipe(Pipe):
         sim: Simulator,
         delay: float,
         sink: Optional[Sink] = None,
-        batching: bool = True,
     ):
-        super().__init__(sim, delay, sink, batching=batching)
+        super().__init__(sim, delay, sink)
         self.lost = 0
 
     def _should_drop(self, packet: Packet) -> bool:
@@ -190,9 +112,8 @@ class LossyPipe(DropPipe):
         loss: float,
         rng: random.Random,
         sink: Optional[Sink] = None,
-        batching: bool = True,
     ):
-        super().__init__(sim, delay, sink, batching=batching)
+        super().__init__(sim, delay, sink)
         if not 0.0 <= loss <= 1.0:
             raise ValueError(f"loss probability must be in [0,1] (got {loss})")
         self.loss = loss

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.obs.trace import CATEGORIES, TRACE_SCHEMA_VERSION
+from repro.obs.trace import CATEGORIES, READABLE_TRACE_SCHEMAS
 
 __all__ = ["read_trace", "summarize_trace", "format_trace_summary"]
 
@@ -33,10 +33,10 @@ def read_trace(
     header = json.loads(lines[0])
     if not isinstance(header, dict) or header.get("kind") != "repro-trace":
         raise ValueError(f"{path}: not a repro trace (missing header line)")
-    if header.get("schema") != TRACE_SCHEMA_VERSION:
+    if header.get("schema") not in READABLE_TRACE_SCHEMAS:
         raise ValueError(
             f"{path}: trace schema {header.get('schema')!r} not supported "
-            f"(this reader understands {TRACE_SCHEMA_VERSION})"
+            f"(this reader understands {list(READABLE_TRACE_SCHEMAS)})"
         )
     events = [json.loads(line) for line in lines[1:] if line.strip()]
     return header, events
@@ -75,9 +75,11 @@ def summarize_trace(path: Union[str, Path]) -> Dict[str, Any]:
     Keys: ``schema``, ``events`` (total), ``categories`` (per-category
     counts), ``event_types`` (per-type counts), ``aqm`` (update count,
     ``p'``/delay series and convergence diagnostics; None when no AQM
-    events were recorded), ``engine`` (epoch count and final lane
-    stats; None likewise), and ``spans`` (per harness span type: count
-    and wall-clock duration stats where emitted).
+    events were recorded), ``engine`` (epoch count, peak heap depth
+    and final engine counters, each omitted when the trace lacks it;
+    None when no engine events were recorded), and ``spans`` (per
+    harness span type: count and wall-clock duration stats where
+    emitted).
     """
     header, events = read_trace(path)
     categories = {c: 0 for c in CATEGORIES}
@@ -117,18 +119,13 @@ def summarize_trace(path: Union[str, Path]) -> Dict[str, Any]:
     engine_summary: Optional[Dict[str, Any]] = None
     if epochs:
         last = epochs[-1]
-        engine_summary = {
-            "epochs": len(epochs),
-            "last_t": float(last["t"]),
-            "events_processed": last.get("events_processed"),
-            "events_batched": last.get("events_batched"),
-            "batch_breaks": last.get("batch_breaks"),
-            "max_wheel": max(int(e.get("wheel") or 0) for e in epochs),
-            "max_overflow": max(int(e.get("overflow") or 0) for e in epochs),
-            "max_heap": max(int(e.get("heap") or 0) for e in epochs),
-            "pool_hits": last.get("pool_hits"),
-            "pool_misses": last.get("pool_misses"),
-        }
+        engine_summary = {"epochs": len(epochs), "last_t": float(last["t"])}
+        heaps = [int(e["heap"]) for e in epochs if "heap" in e]
+        if heaps:
+            engine_summary["max_heap"] = max(heaps)
+        for key in ("events_processed", "cancelled_pending", "compactions"):
+            if key in last:
+                engine_summary[key] = last[key]
 
     spans: Dict[str, Dict[str, Any]] = {}
     for event in events:
@@ -215,16 +212,16 @@ def format_trace_summary(summary: Dict[str, Any], max_rows: int = 12) -> str:
     if engine is not None:
         lines.append("")
         lines.append(
-            f"engine: {engine['epochs']} epochs to t={engine['last_t']:.3f}s, "
-            f"{engine['events_processed']} events processed, "
-            f"{engine['events_batched']} batched "
-            f"({engine['batch_breaks']} batch breaks)"
+            f"engine: {engine['epochs']} epochs to t={engine['last_t']:.3f}s"
         )
-        lines.append(
-            f"  lane peaks: wheel={engine['max_wheel']} "
-            f"overflow={engine['max_overflow']} heap={engine['max_heap']}; "
-            f"pool hits/misses: {engine['pool_hits']}/{engine['pool_misses']}"
-        )
+        for key, label in (
+            ("events_processed", "events processed"),
+            ("max_heap", "peak heap depth"),
+            ("cancelled_pending", "cancelled pending"),
+            ("compactions", "compactions"),
+        ):
+            if key in engine:
+                lines.append(f"  {label}: {engine[key]}")
 
     spans = summary.get("spans") or {}
     if spans:

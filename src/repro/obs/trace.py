@@ -42,7 +42,12 @@ __all__ = [
 
 #: Version of the on-disk JSONL event schema.  Bump only with a
 #: migration note in docs/OBSERVABILITY.md; tests lock the value.
-TRACE_SCHEMA_VERSION = 1
+#: Schema 2 reduced ``engine_epoch`` to the single event heap.
+TRACE_SCHEMA_VERSION = 2
+
+#: Schema versions :func:`repro.obs.read_trace` accepts.  A schema-1
+#: trace carries lane fields schema 2 dropped; readers ignore them.
+READABLE_TRACE_SCHEMAS = (1, 2)
 
 #: Event categories, in documentation order: AQM control-law events,
 #: engine dispatch-epoch snapshots, harness lifecycle spans.

@@ -8,14 +8,6 @@ Four layers, each answering one question:
   timer re-arming, i.e. does heap compaction do its job?
 * :func:`bench_experiment` — how many *simulation* events per second
   does a realistic scenario sustain, TCP + AQM + recorders included?
-* :func:`bench_link_batching` — what does link-layer event batching buy
-  on a grid workload?  Runs the same cells with ``link_batching`` off
-  and on, reports logical events/sec both ways plus the speedup, and
-  asserts bit-exact digest parity between the two modes.
-* :func:`bench_scheduler` — what does the timer-wheel event core buy
-  over the reference binary heap?  A 4-cell timer-population ×
-  delay-spread grid, events/sec per backend plus dispatch-order and
-  experiment digest parity (``matches_heap``).
 * :func:`bench_shared_cache` — does the cross-process single-flight
   cache collapse N workers' repeated-figure requests to one simulation
   per unique cell (``single_flight_ok``)?
@@ -56,8 +48,6 @@ __all__ = [
     "bench_engine_events",
     "bench_cancel_churn",
     "bench_experiment",
-    "bench_link_batching",
-    "bench_scheduler",
     "bench_shared_cache",
     "bench_grid",
     "bench_figure_resume",
@@ -77,17 +67,6 @@ FULL_GRID = {
     "duration": 15.0,
     "warmup": 6.0,
 }
-#: Grid cells for the batching A/B benchmark: paper cells with a
-#: meaningful bandwidth-delay product, where per-packet link and pipe
-#: events dominate the heap and batching has something to absorb.
-BATCHING_GRID = {
-    "links_mbps": (40, 120),
-    "rtts_ms": (20, 50),
-    "duration": 5.0,
-    "warmup": 2.0,
-}
-
-
 @dataclass
 class BenchRecord:
     """One benchmark's outcome: wall-clock plus whatever it counted."""
@@ -178,215 +157,6 @@ def bench_experiment(duration: float = 10.0, seed: int = 1) -> BenchRecord:
         wall,
         events=result.bed.sim.events_processed,
         extra={"sim_seconds": duration, "sim_seconds_per_wall": duration / wall},
-    )
-
-
-def bench_link_batching(
-    grid: Optional[dict] = None,
-    seed: int = 1,
-) -> BenchRecord:
-    """A/B the link-layer event batcher on a high-BDP grid workload.
-
-    Runs each grid cell twice — ``link_batching=False`` then ``True`` —
-    and compares *logical* events/sec, where logical events are
-    ``events_processed + events_batched``: batching absorbs dispatches,
-    it does not remove work, so the logical count is identical in both
-    modes and the speedup is purely wall-clock.  Digest equality across
-    the two runs is checked per cell; any mismatch is flagged in
-    ``extra["matches_unbatched"]`` (and would fail the perf smoke test).
-    """
-    from dataclasses import replace
-
-    from repro.harness.experiment import run_experiment
-    from repro.harness.scenarios import coexistence_pair
-
-    params = dict(grid or BATCHING_GRID)
-    cells = [
-        (mbps, rtt_ms)
-        for mbps in params["links_mbps"]
-        for rtt_ms in params["rtts_ms"]
-    ]
-
-    walls = {False: 0.0, True: 0.0}
-    processed = {False: 0, True: 0}
-    absorbed = {False: 0, True: 0}
-    breaks = 0
-    matches = True
-    for mbps, rtt_ms in cells:
-        base = coexistence_pair(
-            pi2_factory(),
-            capacity_bps=mbps * 1_000_000,
-            rtt=rtt_ms / 1_000.0,
-            duration=params["duration"],
-            warmup=params["warmup"],
-            seed=seed,
-        )
-        digests = {}
-        for batching in (False, True):
-            exp = replace(base, link_batching=batching)
-            start = time.perf_counter()
-            result = run_experiment(exp)
-            walls[batching] += time.perf_counter() - start
-            sim = result.bed.sim
-            processed[batching] += sim.events_processed
-            absorbed[batching] += sim.events_batched
-            if batching:
-                breaks += sim.batch_breaks
-            digests[batching] = result.digest()
-        matches = matches and digests[False] == digests[True]
-
-    logical_off = processed[False] + absorbed[False]
-    logical_on = processed[True] + absorbed[True]
-    eps_off = logical_off / walls[False] if walls[False] > 0 else 0.0
-    eps_on = logical_on / walls[True] if walls[True] > 0 else 0.0
-    return BenchRecord(
-        "link_batching",
-        walls[True],
-        events=logical_on,
-        extra={
-            "cells": len(cells),
-            "wall_seconds_unbatched": walls[False],
-            "events_per_sec_unbatched": eps_off,
-            "speedup_vs_unbatched": eps_on / eps_off if eps_off > 0 else 0.0,
-            "events_batched": absorbed[True],
-            "batch_breaks": breaks,
-            "matches_unbatched": matches,
-        },
-    )
-
-
-#: The scheduler A/B grid: timer populations × delay spreads.  The
-#: populations bracket light and heavy concurrent-timer loads; the
-#: spreads are the engine's *residual* event delays in real experiments
-#: — AQM sample ticks (~16 ms) and paper-scale ACK-clock RTTs (up to
-#: 100 ms).  Sub-millisecond serialization events are absent on purpose:
-#: those ride the link/pipe stream lanes (PR 3's batching), never the
-#: scheduler.
-SCHEDULER_GRID = ((1024, 0.016), (4096, 0.016), (1024, 0.1), (4096, 0.1))
-
-
-def _scheduler_workload(scheduler, population, spread, target, trace=None):
-    """Run ``target`` self-rescheduling timers; returns (events, cpu_s).
-
-    The delay pattern is a deterministic Weyl-style spread over
-    ``[0.1 ms, spread]`` so both backends see the identical schedule.
-    With ``trace`` given, every dispatch appends ``(now, timer_id)`` —
-    the material for the pop-order digest — at the cost of the append,
-    so parity passes and timing passes are kept separate.
-    """
-    sim = Simulator(scheduler=scheduler)
-    count = [0]
-
-    if trace is None:
-        def tick(i, d):
-            count[0] += 1
-            sim.call_later(d, tick, i, d)
-    else:
-        def tick(i, d):
-            count[0] += 1
-            trace.append((sim.now, i))
-            sim.call_later(d, tick, i, d)
-
-    for i in range(population):
-        d = 0.0001 + ((i * 2654435761) % 1200) / 1200.0 * spread
-        sim.call_later(d, tick, i, d)
-    sim.run(until=sim.now + 0.05)  # warm the wheel/heap before timing
-    count[0] = 0
-    # repro: allow[DET] wall/CPU measurement only; never feeds simulation state
-    start = time.process_time()
-    until = sim.now
-    while count[0] < target:
-        until += 1.0
-        sim.run(until)
-    # repro: allow[DET] wall/CPU measurement only; never feeds simulation state
-    return count[0], time.process_time() - start
-
-
-def bench_scheduler(
-    events_per_cell: int = 80_000,
-    repeats: int = 3,
-    seed: int = 1,
-) -> BenchRecord:
-    """A/B the timer-wheel scheduler against the reference heap.
-
-    Two layers of comparison over the 4-cell :data:`SCHEDULER_GRID`:
-
-    * **Parity** — an untimed traced pass per cell hashes the full
-      ``(time, timer)`` dispatch stream of each backend; plus one real
-      experiment (the quick grid's smallest cell) run under both
-      backends and compared by result digest.  Any divergence makes
-      ``matches_heap`` False, which fails ``repro bench`` and the perf
-      smoke test.
-    * **Throughput** — per cell, ``repeats`` interleaved timed passes
-      per backend on CPU time (best-of, so scheduler preemption noise
-      cancels); the headline ``speedup_vs_heap`` is the grid-aggregate
-      events/sec ratio (total events over summed best times).
-    """
-    import hashlib as _hashlib
-
-    from dataclasses import replace
-
-    from repro.harness.experiment import run_experiment
-    from repro.harness.scenarios import coexistence_pair
-
-    matches = True
-    for population, spread in SCHEDULER_GRID:
-        digests = {}
-        for scheduler in ("heap", "wheel"):
-            trace: List[tuple] = []
-            _scheduler_workload(
-                scheduler, population, spread, events_per_cell // 4, trace
-            )
-            digests[scheduler] = _hashlib.sha256(
-                repr(trace).encode()
-            ).hexdigest()
-        matches = matches and digests["heap"] == digests["wheel"]
-
-    # Experiment-level parity: same cell, both backends, equal digests.
-    base = coexistence_pair(
-        pi2_factory(),
-        capacity_bps=4 * 1_000_000,
-        rtt=10 / 1_000.0,
-        duration=5.0,
-        warmup=2.0,
-        seed=seed,
-    )
-    exp_digests = {
-        scheduler: run_experiment(replace(base, scheduler=scheduler)).digest()
-        for scheduler in ("heap", "wheel")
-    }
-    matches = matches and exp_digests["heap"] == exp_digests["wheel"]
-
-    totals = {"heap": 0.0, "wheel": 0.0}
-    events = {"heap": 0, "wheel": 0}
-    for population, spread in SCHEDULER_GRID:
-        best = {"heap": float("inf"), "wheel": float("inf")}
-        cell_events = {"heap": 0, "wheel": 0}
-        for _ in range(repeats):
-            for scheduler in ("heap", "wheel"):
-                n, cpu = _scheduler_workload(
-                    scheduler, population, spread, events_per_cell
-                )
-                if cpu < best[scheduler]:
-                    best[scheduler] = cpu
-                    cell_events[scheduler] = n
-        for scheduler in ("heap", "wheel"):
-            totals[scheduler] += best[scheduler]
-            events[scheduler] += cell_events[scheduler]
-
-    eps_heap = events["heap"] / totals["heap"] if totals["heap"] > 0 else 0.0
-    eps_wheel = events["wheel"] / totals["wheel"] if totals["wheel"] > 0 else 0.0
-    return BenchRecord(
-        "scheduler",
-        totals["wheel"],
-        events=events["wheel"],
-        extra={
-            "cells": len(SCHEDULER_GRID),
-            "cpu_seconds_heap": totals["heap"],
-            "events_per_sec_heap": eps_heap,
-            "speedup_vs_heap": eps_wheel / eps_heap if eps_heap > 0 else 0.0,
-            "matches_heap": matches,
-        },
     )
 
 
@@ -785,16 +555,6 @@ def run_benchmarks(
         bench_engine_events(50_000 * scale),
         bench_cancel_churn(25_000 * scale),
         bench_experiment(duration=5.0 * scale, seed=seed),
-        bench_link_batching(
-            grid=dict(
-                BATCHING_GRID,
-                duration=BATCHING_GRID["duration"] * (1 if quick else 2),
-            ),
-            seed=seed,
-        ),
-        bench_scheduler(
-            events_per_cell=80_000 * (1 if quick else 2), seed=seed
-        ),
         bench_shared_cache(jobs=jobs, seed=seed),
     ]
     records.extend(
@@ -870,12 +630,11 @@ def format_bench_table(payload: Dict[str, object]) -> str:
     rows = []
     for bench in payload["benchmarks"]:
         note_parts = []
-        for key in ("speedup_vs_serial", "speedup_vs_cold", "speedup_vs_unbatched",
-                    "speedup_vs_heap"):
+        for key in ("speedup_vs_serial", "speedup_vs_cold"):
             if key in bench:
                 note_parts.append(f"{key.split('_vs_')[-1]}×{bench[key]:.2f}")
-        for key in ("matches_serial", "matches_cold", "matches_unbatched",
-                    "matches_resume", "matches_heap", "matches_untraced"):
+        for key in ("matches_serial", "matches_cold", "matches_resume",
+                    "matches_untraced"):
             if key in bench and not bench[key]:
                 note_parts.append("MISMATCH!")
         if "single_flight_ok" in bench:

@@ -1,91 +1,44 @@
 """Discrete-event simulation engine.
 
 This is the substrate that replaces the paper's physical Linux testbed
-(Figure 10).  It is a two-tier event scheduler: a 256-slot timer wheel
-for the dense near-horizon events that dominate a packet simulation
-(serialization completions, ACK clocks, AQM sample ticks — delays
-bounded by RTT and sample interval), a binary-heap overflow lane for
-sparse far-future events (watchdogs, fault flaps, long timers), and a
-virtual clock with helpers for one-shot and periodic callbacks.
-Everything else in the repository (links, queues, TCP senders, AQM
-update timers) is driven by this engine.
+(Figure 10): a virtual clock, one binary heap of pending events, and
+helpers for one-shot and periodic callbacks.  Everything else in the
+repository (links, pipes, queues, TCP senders, AQM update timers) is
+driven by this engine.
+
+The event core
+--------------
+Every pending event is one heap entry, the plain tuple ``(time, seq, fn,
+args, handle)``.  ``seq`` is drawn from a single monotonic counter, so
+entries are totally ordered by ``(time, seq)`` and the heap orders them
+with C tuple comparisons (the unique ``seq`` means ``fn`` is never
+compared).  One dispatch loop pops the head, advances the clock and runs
+``fn(*args)``.
+
+``handle`` is the cancellable :class:`Event` returned by
+:meth:`Simulator.schedule` / :meth:`Simulator.at`, or ``None`` for the
+fire-and-forget :meth:`Simulator.call_later` / :meth:`Simulator.call_at`,
+which allocate nothing beyond the tuple.
 
 Determinism
 -----------
-Events scheduled for the same timestamp fire in scheduling order (a
-monotonic sequence number breaks ties), so a simulation with a fixed seed
-is exactly reproducible run-to-run and platform-to-platform.  Both
-scheduler backends (``scheduler="wheel"``, the default, and
-``scheduler="heap"``, the reference single-heap path) dispatch in the
-identical ``(time, seq)`` total order, so a fixed seed produces
-bit-exact ``digest()``-equal results under either; the heap path is kept
-selectable for A/B verification.  Compaction (below) only ever removes
-cancelled events and re-heapifies; the (time, seq) total order means the
-pop sequence is unchanged, so compaction never perturbs results.
-
-The timer wheel
----------------
-The wheel divides time into 1/1024-second slots, 256 of them (a ~0.25 s
-window).  An event due within the window is pushed onto the mini-heap of
-its slot — a plain list of ``(time, seq, Event)`` tuples, so ordering
-costs C tuple comparisons over a bucket of a few dozen entries instead
-of Python ``Event.__lt__`` calls over one heap of thousands.  Events due
-beyond the window go to the overflow heap and are never migrated; the
-dispatch loop merges the first live wheel entry, the overflow head and
-the stream lane by ``(time, seq)`` at every pop, which preserves the
-global total order exactly.  A live wheel entry's absolute slot index
-always lies within the current 256-slot window (its time is at least
-``now`` and was within the window when pushed), so the wheel scan —
-starting from a cached hint and visiting at most 256 slots — always
-finds the earliest live entry.
+Events scheduled for the same timestamp fire in scheduling order (the
+sequence number breaks ties), so a simulation with a fixed seed is
+exactly reproducible run-to-run and platform-to-platform.  Compaction
+(below) only removes cancelled entries and re-heapifies; the total order
+means the pop sequence is unchanged, so compaction never perturbs
+results.
 
 Cancelled events
 ----------------
-Cancellation is lazy: a cancelled event stays in its lane and is skipped
-when popped.  Workloads that re-arm timers constantly (every TCP ACK
-cancels and reschedules the retransmission timer) can accumulate large
-numbers of dead entries, inflating every push/pop.  The simulator counts
-cancellations and compacts the lanes in place once the dead fraction
-crosses a threshold, keeping scheduling operations proportional to
-*live* events.
-
-Event pooling
--------------
-Most scheduled callbacks are fire-and-forget — nobody keeps the returned
-:class:`Event` handle, so allocating one per packet is pure churn.
-:meth:`Simulator.call_later` / :meth:`Simulator.call_at` are the pooled
-twins of :meth:`schedule` / :meth:`at`: they return ``None``, draw the
-``Event`` from a bounded freelist, and recycle it after dispatch.
-Because no reference escapes, a pooled event can never be cancelled or
-observed after reuse.  Sequence-number consumption is identical to the
-unpooled calls, so pooling never perturbs the (time, seq) schedule.
-
-Event batching
---------------
-A component that knows its *own* next event time can avoid the scheduler
-entirely: inside a callback it may ask :meth:`Simulator.pending_before`
-whether any foreign event sorts before its continuation and, if not (and
-within the current :attr:`Simulator.horizon`), handle it inline via
-:meth:`Simulator.advance_to` instead of scheduling it.  The bottleneck
-:class:`~repro.net.link.Link` drains back-to-back packet transmissions
-this way, and :class:`~repro.net.pipe.Pipe` keeps its in-flight packets
-on an *arrival train* served by a single pending continuation instead of
-one event per packet — which also shrinks the pending-event population
-from thousands of entries (every in-flight packet) to a handful, making
-every remaining push/pop cheaper.
-
-Bit-exactness rests on two rules.  First, inline handling is only
-allowed when the continuation provably sorts before every pending
-event, so nothing that *would* have fired earlier is displaced.  Second,
-batchers draw their sequence numbers from the same counter at the same
-points as the unbatched code (:meth:`Simulator.reserve_seq` /
-:meth:`Simulator.at_reserved`), so the ``(time, seq)`` identity of every
-event — scheduled or absorbed — is identical in both modes and every
-same-timestamp tie breaks the same way.  A batched run therefore
-produces bit-exact results (equal ``digest()``\\ s) for a fixed seed.
-Absorbed events are counted in :attr:`Simulator.events_batched`; a batch
-forced to stop because a foreign event intervened is counted in
-:attr:`Simulator.batch_breaks`.
+Cancellation is lazy: a cancelled entry stays in the heap and is skipped
+when popped.  Workloads that cancel timers constantly can accumulate many
+dead entries, inflating every push/pop, so the simulator counts them and
+compacts the heap in place once the dead fraction crosses a threshold.
+The count is exact: the dispatch loop detaches a handle from the
+simulator as it fires, so cancelling an event that already fired (for
+example a :class:`PeriodicTimer` stopped from inside its own callback)
+counts nothing.
 
 Example
 -------
@@ -109,69 +62,41 @@ from repro.units import Seconds
 
 __all__ = ["Simulator", "Event", "PeriodicTimer", "Watchdog"]
 
-#: Wheel geometry: 256 slots of 1/1024 s — a ~0.25 s near-horizon window
-#: that covers serialization times, paper-scale RTTs and AQM sample
-#: intervals.  Power-of-two width so the time→slot multiply is exact.
-_WHEEL_SLOTS = 256
-_WHEEL_MASK = _WHEEL_SLOTS - 1
-_INV_WIDTH = 1024.0
-_WIDTH = 1.0 / _INV_WIDTH
-#: Horizon for direct wheel placement, as a *delay* from ``now``.  With
-#: truncating slot arithmetic, ``idx - base <= (t - now) * _INV_WIDTH + 1``,
-#: so any delay under 255 slot-widths is guaranteed to land inside the
-#: 256-slot window — one float compare replaces two int conversions on
-#: the push hot path.  Delays in the sliver [255, 256) slot-widths go to
-#: the overflow heap instead; lane placement never affects pop order.
-_WHEEL_SAFE = (_WHEEL_SLOTS - 1) * _WIDTH
-
 _heappush = heapq.heappush
-
-#: Upper bound on the pooled-event freelist; beyond this, recycled
-#: events are simply dropped for the GC.
-_POOL_MAX = 1024
 
 #: Virtual-time span of one dispatch epoch when an engine tracer is
 #: installed: the traced run loop executes in chunks of this many
-#: seconds and emits one ``engine_epoch`` lane-occupancy snapshot per
-#: chunk.  Chunked ``run`` calls compose exactly (``run(10); run(20)``
-#: ≡ ``run(20)``), so chunking never changes results — only how often
-#: the loop surfaces for a snapshot.
+#: seconds and emits one ``engine_epoch`` snapshot per chunk.  Chunked
+#: ``run`` calls compose exactly (``run(10); run(20)`` ≡ ``run(20)``),
+#: so chunking never changes results — only how often the loop surfaces
+#: for a snapshot.
 _TRACE_EPOCH_SPAN = 0.25
 
 
-def _nop() -> None:  # pragma: no cover - placeholder, never dispatched
-    """Callback held by recycled pool events so no user refs are pinned."""
-
-
 class Event:
-    """A scheduled callback.
+    """Cancellable handle on a scheduled callback.
 
     Holding a reference to the returned :class:`Event` allows cancellation
-    (used e.g. by TCP retransmission timers that are re-armed on every ACK).
-    Cancelled events stay in their lane but are skipped when popped; this is
-    the standard lazy-deletion scheme and keeps cancellation O(1).
+    (used e.g. by TCP retransmission timers).  A cancelled event stays in
+    the heap but is skipped when popped; this is the standard lazy-deletion
+    scheme and keeps cancellation O(1).  ``sim`` is cleared when the event
+    fires, so a late :meth:`cancel` is a no-op that counts nothing.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim", "recycle")
+    __slots__ = ("time", "seq", "fn", "cancelled", "sim")
 
     def __init__(
         self,
         time: float,
         seq: int,
         fn: Callable[..., Any],
-        args: tuple,
         sim: "Optional[Simulator]" = None,
     ):
         self.time = time
         self.seq = seq
         self.fn = fn
-        self.args = args
         self.cancelled = False
         self.sim = sim
-        #: Pool-managed events (``call_later``/``call_at``) are returned
-        #: to the freelist after dispatch; never set on events whose
-        #: reference escaped to a caller.
-        self.recycle = False
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
@@ -181,18 +106,13 @@ class Event:
         if self.sim is not None:
             self.sim._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} {getattr(self.fn, '__name__', self.fn)} {state}>"
 
 
-#: Wheel/overflow lane entry: compares in C, no ``Event.__lt__`` frames.
-_WheelEntry = Tuple[float, int, Event]
+#: Heap entry: ``(time, seq, fn, args, handle)``; compares in C.
+_Entry = Tuple[float, int, Callable[..., Any], tuple, Optional[Event]]
 
 
 class Watchdog:
@@ -234,12 +154,6 @@ class Simulator:
     ----------
     start_time:
         Initial value of the virtual clock, in seconds.  Defaults to 0.
-    scheduler:
-        Event-core backend: ``"wheel"`` (default) uses the 256-slot timer
-        wheel with heap overflow; ``"heap"`` is the reference single
-        binary heap.  Both dispatch in the identical ``(time, seq)``
-        order — results are bit-exact either way; the heap is kept for
-        A/B verification and benchmarking.
 
     Notes
     -----
@@ -255,43 +169,15 @@ class Simulator:
     #: would cost more than it saves.
     COMPACT_THRESHOLD = 1024
 
-    def __init__(self, start_time: float = 0.0, scheduler: str = "wheel"):
-        if scheduler not in ("heap", "wheel"):
-            raise ValueError(
-                f"scheduler must be 'heap' or 'wheel' (got {scheduler!r})"
-            )
-        self.scheduler = scheduler
+    def __init__(self, start_time: float = 0.0):
         self.now: float = start_time
-        #: Reference lane (scheduler="heap"): a single binary heap of
-        #: :class:`Event` objects.
-        self._heap: List[Event] = []
-        #: Stream lane: (time, seq, fn, args) tuples for batcher
-        #: continuations (see :meth:`stream_schedule`).  Shared by both
-        #: scheduler backends.
-        self._streams: List[Tuple[float, int, Callable[..., Any], tuple]] = []
-        #: Timer wheel (scheduler="wheel"): per-slot mini-heaps of
-        #: ``(time, seq, Event)`` plus a far-future overflow heap.
-        self._wheel_on = scheduler == "wheel"
-        self._epoch = start_time
-        self._wheel: List[List[_WheelEntry]] = [[] for _ in range(_WHEEL_SLOTS)]
-        self._overflow: List[_WheelEntry] = []
-        self._wheel_count = 0
-        #: Lower bound on the absolute slot index of the earliest wheel
-        #: entry; lowered on push, advanced by the head scan.
-        self._hint = 0
-        #: Freelist for pool-managed events (:meth:`call_later`).
-        self._pool: List[Event] = []
+        #: The event core: a binary heap of ``(time, seq, fn, args,
+        #: handle)`` entries (see module docstring).
+        self._heap: List[_Entry] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._cancelled_pending = 0
         self._compactions = 0
-        self._events_batched = 0
-        self._batch_breaks = 0
-        #: Freelist accounting for the pooled entry points: a hit reused
-        #: a recycled Event, a miss allocated a fresh one.
-        self._pool_hits = 0
-        self._pool_misses = 0
-        self._horizon: Optional[float] = None
         self._running = False
         self._watchdog: Optional[Watchdog] = None
         #: Optional telemetry sink (duck-typed; see repro.obs.trace).
@@ -305,11 +191,10 @@ class Simulator:
 
         With a tracer installed, :meth:`run` executes in virtual-time
         chunks of :data:`_TRACE_EPOCH_SPAN` seconds and emits one
-        ``engine_epoch`` snapshot (lane occupancy, pool and batching
-        counters) per chunk.  Chunked runs compose exactly, so results
-        are bit-identical with tracing on or off; only the run loop's
-        granularity — and hence counters like ``batch_breaks``, which
-        count horizon-bounded batching — may differ.  Callers should
+        ``engine_epoch`` snapshot (heap depth and engine counters) per
+        chunk.  Chunked runs compose exactly and the chunking never pops
+        an entry an untraced run would not, so results and every engine
+        counter are identical with tracing on or off.  Callers should
         pass tracers through :func:`repro.obs.trace.engine_tracer` so
         the category-subscription check stays in the observability
         layer.
@@ -351,377 +236,30 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time} before current time {self.now}"
             )
-        ev = Event(time, next(self._seq), fn, args, sim=self)
-        if self._wheel_on:
-            if time - self.now < _WHEEL_SAFE:
-                idx = int((time - self._epoch) * _INV_WIDTH)
-                _heappush(self._wheel[idx & _WHEEL_MASK], (time, ev.seq, ev))
-                self._wheel_count += 1
-                if idx < self._hint:
-                    self._hint = idx
-            else:
-                _heappush(self._overflow, (time, ev.seq, ev))
-        else:
-            _heappush(self._heap, ev)
+        seq = next(self._seq)
+        ev = Event(time, seq, fn, self)
+        _heappush(self._heap, (time, seq, fn, args, ev))
         return ev
 
     def call_later(self, delay: Seconds, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, pooled ``Event``.
+        """Fire-and-forget :meth:`schedule`: no handle is allocated.
 
-        Identical (time, seq) semantics to :meth:`schedule`, but the
-        event object is drawn from a bounded freelist and recycled after
-        dispatch, cutting allocator churn on per-packet hot paths.  The
-        caller cannot cancel the event — use :meth:`schedule` when a
-        handle is needed.  (The lane push is inlined here rather than
-        delegated: this is the engine's hottest entry point and the
-        extra frames are measurable.)
+        Identical (time, seq) semantics to :meth:`schedule`; the caller
+        cannot cancel the event — use :meth:`schedule` when a handle is
+        needed.  This is the engine's hottest entry point (every packet
+        transmission, delivery and pipe arrival goes through it).
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        seq = next(self._seq)
-        pool = self._pool
-        if pool:
-            # Freelisted events keep ``recycle=True`` for their lifetime,
-            # so reuse touches only the four live fields.
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            self._pool_hits += 1
-        else:
-            ev = Event(time, seq, fn, args, sim=self)
-            ev.recycle = True
-            self._pool_misses += 1
-        if self._wheel_on:
-            if delay < _WHEEL_SAFE:
-                idx = int((time - self._epoch) * _INV_WIDTH)
-                _heappush(self._wheel[idx & _WHEEL_MASK], (time, seq, ev))
-                self._wheel_count += 1
-                if idx < self._hint:
-                    self._hint = idx
-            else:
-                _heappush(self._overflow, (time, seq, ev))
-        else:
-            _heappush(self._heap, ev)
+        _heappush(self._heap, (self.now + delay, next(self._seq), fn, args, None))
 
     def call_at(self, time: Seconds, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`at`: no handle, pooled ``Event``."""
+        """Fire-and-forget :meth:`at`: no handle is allocated."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule at t={time} before current time {self.now}"
             )
-        pool = self._pool
-        seq = next(self._seq)
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            self._pool_hits += 1
-        else:
-            ev = Event(time, seq, fn, args, sim=self)
-            ev.recycle = True
-            self._pool_misses += 1
-        if self._wheel_on:
-            if time - self.now < _WHEEL_SAFE:
-                idx = int((time - self._epoch) * _INV_WIDTH)
-                _heappush(self._wheel[idx & _WHEEL_MASK], (time, seq, ev))
-                self._wheel_count += 1
-                if idx < self._hint:
-                    self._hint = idx
-            else:
-                _heappush(self._overflow, (time, seq, ev))
-        else:
-            _heappush(self._heap, ev)
-
-    # ------------------------------------------------------------------
-    # Cancelled-event accounting
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel`; triggers compaction past the
-        threshold once dead entries outnumber live ones."""
-        self._cancelled_pending += 1
-        if self._cancelled_pending >= self.COMPACT_THRESHOLD:
-            size = (
-                self._wheel_count + len(self._overflow)
-                if self._wheel_on
-                else len(self._heap)
-            )
-            if self._cancelled_pending * 2 >= size:
-                self.compact()
-
-    def compact(self) -> int:
-        """Drop cancelled events from the lanes; returns how many were removed.
-
-        The lane lists are mutated in place (``run`` holds local
-        references to them), and re-heapified.  Safe to call at any time,
-        including from inside an event callback; pop order is unaffected
-        because events are totally ordered by (time, seq).
-        """
-        removed = 0
-        if self._wheel_on:
-            count = 0
-            for bucket in self._wheel:
-                if not bucket:
-                    continue
-                before = len(bucket)
-                bucket[:] = [e for e in bucket if not e[2].cancelled]
-                dropped = before - len(bucket)
-                if dropped:
-                    removed += dropped
-                    heapq.heapify(bucket)
-                count += len(bucket)
-            self._wheel_count = count
-            overflow = self._overflow
-            before = len(overflow)
-            overflow[:] = [e for e in overflow if not e[2].cancelled]
-            dropped = before - len(overflow)
-            if dropped:
-                removed += dropped
-                heapq.heapify(overflow)
-        else:
-            heap = self._heap
-            before = len(heap)
-            heap[:] = [ev for ev in heap if not ev.cancelled]
-            removed = before - len(heap)
-            if removed:
-                heapq.heapify(heap)
-        if removed:
-            self._compactions += 1
-        self._cancelled_pending = 0
-        return removed
-
-    # ------------------------------------------------------------------
-    # Lane heads (shared by peek/step/pending_before; run() inlines this)
-    # ------------------------------------------------------------------
-    def _find_bucket(self) -> Optional[List[_WheelEntry]]:
-        """Scan to the first wheel bucket with a live head and return it.
-
-        Pops lazily-cancelled heads on the way (exactly as the dispatch
-        loop would) and advances :attr:`_hint`.  Returns ``None`` when
-        the wheel holds no live entries.  Every live entry's absolute
-        slot index lies in ``[base, base + 256)`` (see module docstring),
-        so a single 256-slot sweep starting at ``max(hint, base)`` is
-        exhaustive.
-        """
-        if not self._wheel_count:
-            return None
-        wheel = self._wheel
-        heappop = heapq.heappop
-        base = int((self.now - self._epoch) * _INV_WIDTH)
-        a = self._hint
-        if a < base:
-            a = base
-        stop = a + _WHEEL_SLOTS
-        count = self._wheel_count
-        while a < stop:
-            bucket = wheel[a & _WHEEL_MASK]
-            while bucket:
-                if bucket[0][2].cancelled:
-                    heappop(bucket)
-                    count -= 1
-                    if self._cancelled_pending > 0:
-                        self._cancelled_pending -= 1
-                else:
-                    self._wheel_count = count
-                    self._hint = a
-                    return bucket
-            a += 1
-        self._wheel_count = count
-        self._hint = a
-        return None
-
-    def _clean_overflow(self) -> None:
-        """Pop lazily-cancelled events off the overflow heap's head."""
-        overflow = self._overflow
-        while overflow and overflow[0][2].cancelled:
-            heapq.heappop(overflow)
-            if self._cancelled_pending > 0:
-                self._cancelled_pending -= 1
-
-    # ------------------------------------------------------------------
-    # Inline event batching (see module docstring, "Event batching")
-    # ------------------------------------------------------------------
-    def peek(self) -> Optional[Tuple[float, int]]:
-        """``(time, seq)`` of the next pending event, or None if idle.
-
-        Considers every lane (wheel + overflow or heap, plus the stream
-        lane).  Lazily-cancelled events at the lane heads are discarded
-        on the way, exactly as the run loop would skip them, so peeking
-        never changes which callbacks fire or when.  The ``seq`` lets a
-        batcher compare its own *reserved* event identity
-        lexicographically — the exact tie-break the dispatch loop applies
-        at equal timestamps.
-        """
-        best: Optional[Tuple[float, int]] = None
-        if self._wheel_on:
-            bucket = self._find_bucket()
-            if bucket:
-                best = (bucket[0][0], bucket[0][1])
-            self._clean_overflow()
-            overflow = self._overflow
-            if overflow:
-                cand = (overflow[0][0], overflow[0][1])
-                if best is None or cand < best:
-                    best = cand
-        else:
-            heap = self._heap
-            while heap and heap[0].cancelled:
-                heapq.heappop(heap)
-                if self._cancelled_pending > 0:
-                    self._cancelled_pending -= 1
-            if heap:
-                best = (heap[0].time, heap[0].seq)
-        streams = self._streams
-        if streams:
-            cand = (streams[0][0], streams[0][1])
-            if best is None or cand < best:
-                best = cand
-        return best
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending (non-cancelled) event, or None."""
-        head = self.peek()
-        return None if head is None else head[0]
-
-    def pending_before(self, time: float, seq: int) -> bool:
-        """True iff a pending event sorts strictly before ``(time, seq)``.
-
-        The batchers' foreign-event test: a continuation with identity
-        ``(time, seq)`` may be handled inline only when nothing else can
-        fire first.  Spans every lane and discards lazily-cancelled lane
-        heads on the way, exactly as :meth:`peek` does.
-        """
-        if self._wheel_on:
-            bucket = self._find_bucket()
-            if bucket:
-                head = bucket[0]
-                if head[0] < time or (head[0] == time and head[1] < seq):
-                    return True
-            self._clean_overflow()
-            overflow = self._overflow
-            if overflow:
-                entry = overflow[0]
-                if entry[0] < time or (entry[0] == time and entry[1] < seq):
-                    return True
-        else:
-            heap = self._heap
-            while heap and heap[0].cancelled:
-                heapq.heappop(heap)
-                if self._cancelled_pending > 0:
-                    self._cancelled_pending -= 1
-            if heap:
-                ev = heap[0]
-                if ev.time < time or (ev.time == time and ev.seq < seq):
-                    return True
-        streams = self._streams
-        if streams:
-            s = streams[0]
-            if s[0] < time or (s[0] == time and s[1] < seq):
-                return True
-        return False
-
-    def reserve_seq(self) -> int:
-        """Claim the sequence number the next scheduled event would get.
-
-        The batching contract: a batcher reserves a seq at *exactly* the
-        point the unbatched code would have called :meth:`schedule`, so
-        the sequence-number stream — and therefore every same-timestamp
-        tie-break — is identical whether events are heaped, streamed or
-        absorbed.  A reserved seq is either spent via
-        :meth:`stream_schedule` (the batch broke; the continuation waits
-        its turn in the stream lane) or dropped (the continuation was
-        handled inline via :meth:`advance_to`).
-        """
-        return next(self._seq)
-
-    def at_reserved(
-        self, time: Seconds, seq: int, fn: Callable[..., Any], *args: Any
-    ) -> Event:
-        """Schedule an event carrying a seq from :meth:`reserve_seq`.
-
-        The unbatched twin of :meth:`stream_schedule`: components that
-        reserve their continuation seq up front use this when batching is
-        off, so the event lands in exactly the (time, seq) slot the
-        batched run would have given it.
-        """
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at t={time} before current time {self.now}"
-            )
-        ev = Event(time, seq, fn, args, sim=self)
-        if self._wheel_on:
-            if time - self.now < _WHEEL_SAFE:
-                idx = int((time - self._epoch) * _INV_WIDTH)
-                _heappush(self._wheel[idx & _WHEEL_MASK], (time, seq, ev))
-                self._wheel_count += 1
-                if idx < self._hint:
-                    self._hint = idx
-            else:
-                _heappush(self._overflow, (time, seq, ev))
-        else:
-            _heappush(self._heap, ev)
-        return ev
-
-    def stream_schedule(
-        self, time: Seconds, seq: int, fn: Callable[..., Any], *args: Any
-    ) -> None:
-        """Schedule a batcher continuation in the stream lane.
-
-        The stream lane is a second, small heap of plain ``(time, seq,
-        fn, args)`` tuples that the dispatch loop merges with the other
-        lanes in exact ``(time, seq)`` order.  Batchers (the link's
-        transmission drain, pipe arrival trains) route their per-packet
-        continuations here: tuples compare in C (no :meth:`Event.__lt__`
-        round-trips), nothing is allocated per event, and the lane stays
-        a few entries deep — one pending continuation per batcher —
-        regardless of how many packets are in flight.  Entries cannot be
-        cancelled; ``seq`` must come from :meth:`reserve_seq` so the
-        merged order is identical to the unbatched schedule.
-        """
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at t={time} before current time {self.now}"
-            )
-        heapq.heappush(self._streams, (time, seq, fn, args))
-
-    def advance_to(self, time: Seconds) -> None:
-        """Move the clock forward inside a callback, absorbing one event.
-
-        This is the event-batching primitive: a component that has proven
-        (via :meth:`pending_before` and :attr:`horizon`) that nothing
-        else can fire before ``time`` may advance the clock itself and
-        handle its continuation inline instead of scheduling it.  Each
-        call counts one absorbed event in :attr:`events_batched`.
-        """
-        if time < self.now:
-            raise ValueError(
-                f"cannot advance backwards to t={time} from t={self.now}"
-            )
-        self.now = time
-        self._events_batched += 1
-
-    def note_batch_break(self) -> None:
-        """Record that a batch had to stop because an event intervened.
-
-        Called by batching components (the link) when they fall back to
-        scheduling a real event mid-drain; exposed as
-        :attr:`batch_breaks` so batching efficiency is observable.
-        """
-        self._batch_breaks += 1
-
-    @property
-    def horizon(self) -> Optional[float]:
-        """The ``until`` bound of the :meth:`run` call currently executing.
-
-        ``None`` outside :meth:`run` (including :meth:`step`), which
-        disables inline batching — a batcher may never advance the clock
-        past the point the run loop has been asked to stop at.
-        """
-        return self._horizon
+        _heappush(self._heap, (time, next(self._seq), fn, args, None))
 
     def every(
         self,
@@ -742,8 +280,60 @@ class Simulator:
         return timer
 
     # ------------------------------------------------------------------
+    # Cancelled-event accounting
+    # ------------------------------------------------------------------
+    def _note_cancelled(self) -> None:
+        """Called by :meth:`Event.cancel` on a pending event; compacts
+        the heap past the threshold once dead entries make up half of it."""
+        self._cancelled_pending += 1
+        pending = self._cancelled_pending
+        if pending >= self.COMPACT_THRESHOLD and pending * 2 >= len(self._heap):
+            self.compact()
+
+    def compact(self) -> int:
+        """Drop cancelled entries from the heap; returns how many were removed.
+
+        The heap list is mutated in place (``run`` holds a local
+        reference to it) and re-heapified.  Safe to call at any time,
+        including from inside an event callback; pop order is unaffected
+        because entries are totally ordered by (time, seq).
+        """
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [e for e in heap if e[4] is None or not e[4].cancelled]
+        removed = before - len(heap)
+        if removed:
+            heapq.heapify(heap)
+            self._compactions += 1
+        self._cancelled_pending = 0
+        return removed
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def peek(self) -> Optional[Tuple[float, int]]:
+        """``(time, seq)`` of the next pending event, or None if idle.
+
+        Lazily-cancelled entries at the heap head are discarded on the
+        way, exactly as the run loop would skip them, so peeking never
+        changes which callbacks fire or when.
+        """
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            handle = head[4]
+            if handle is not None and handle.cancelled:
+                heapq.heappop(heap)
+                self._cancelled_pending -= 1
+                continue
+            return head[0], head[1]
+        return None
+
+    def peek_time(self) -> Optional[float]:
+        """Timestamp of the next pending (non-cancelled) event, or None."""
+        head = self.peek()
+        return None if head is None else head[0]
+
     def run(self, until: Seconds) -> None:
         """Process events in timestamp order until the clock reaches ``until``.
 
@@ -762,65 +352,49 @@ class Simulator:
         if self._tracer is not None:
             self._traced_run(until)
             return
-        if self._wheel_on:
-            self._run_wheel(until)
-            return
-        self._run_heap(until)
+        self._run(until)
 
     def _traced_run(self, until: float) -> None:
-        """Run to ``until`` in epoch chunks, snapshotting lane stats.
+        """Run to ``until`` in epoch chunks, snapshotting the heap.
 
-        The actual dispatching is delegated to the untraced backend loop
-        (:meth:`_run_wheel` / :meth:`_run_heap`) one
+        The dispatching is delegated to :meth:`_run` one
         :data:`_TRACE_EPOCH_SPAN`-sized chunk at a time; between chunks
         — never between two events — an ``engine_epoch`` event records
-        wheel/overflow/stream/heap occupancy and the pool and batching
-        counters.  Because back-to-back ``run`` calls compose exactly
-        and batching is digest-invariant (batch boundaries at chunk
-        horizons only perturb the batching *counters*, which are not
-        part of any digest), the dispatch order — and therefore every
-        result bit — is identical to an untraced run.
+        the heap depth and the engine counters.  Chunks start at the
+        heap head's time (live or lazily cancelled: reading it pops
+        nothing), and back-to-back ``run`` calls compose exactly, so the
+        dispatch order, every result bit and every engine counter are
+        identical to an untraced run.
         """
-        runner = self._run_wheel if self._wheel_on else self._run_heap
         tracer = self._tracer
+        heap = self._heap
         while True:
-            head = self.peek_time()
-            if head is None or head > until:
-                stop = until
-            else:
-                start = head if head > self.now else self.now
+            if heap and heap[0][0] <= until:
+                start = heap[0][0] if heap[0][0] > self.now else self.now
                 stop = start + _TRACE_EPOCH_SPAN
                 if stop > until:
                     stop = until
-            runner(stop)
+            else:
+                stop = until
+            self._run(stop)
             self._trace_epochs += 1
-            if tracer is not None:
-                tracer.emit(
-                    "engine",
-                    "engine_epoch",
-                    self.now,
-                    {
-                        "epoch": self._trace_epochs,
-                        "scheduler": self.scheduler,
-                        "wheel": self._wheel_count,
-                        "overflow": len(self._overflow),
-                        "stream": len(self._streams),
-                        "heap": len(self._heap),
-                        "pool_free": len(self._pool),
-                        "pool_hits": self._pool_hits,
-                        "pool_misses": self._pool_misses,
-                        "events_processed": self._events_processed,
-                        "events_batched": self._events_batched,
-                        "batch_breaks": self._batch_breaks,
-                        "cancelled_pending": self._cancelled_pending,
-                        "compactions": self._compactions,
-                    },
-                )
+            tracer.emit(
+                "engine",
+                "engine_epoch",
+                self.now,
+                {
+                    "epoch": self._trace_epochs,
+                    "heap": len(heap),
+                    "events_processed": self._events_processed,
+                    "cancelled_pending": self._cancelled_pending,
+                    "compactions": self._compactions,
+                },
+            )
             if self.now >= until:
                 return
 
-    def _run_heap(self, until: float) -> None:
-        """The heap-backend run loop; same contract as :meth:`run`."""
+    def _run(self, until: float) -> None:
+        """The dispatch loop; same contract as :meth:`run`."""
         watchdog = self._watchdog
         event_budget = (
             self._events_processed + watchdog.max_events
@@ -831,18 +405,13 @@ class Simulator:
         # repro: allow[DET] watchdog wall-time budget; never feeds simulation state
         wall_start = time.monotonic() if wall_limit is not None else 0.0
         self._running = True
-        self._horizon = until
         # Hot loop: the engine spends essentially all of a simulation here,
-        # so the per-event work is kept to heap ops + the callback itself.
-        # Heap, pop and clock access are bound to locals, the dispatch
-        # wrapper is inlined (one fewer Python frame per event), and the
-        # budget checks are single comparisons that short-circuit when no
-        # watchdog is installed.  The general event heap and the stream
-        # lane (batcher continuations, see stream_schedule) are merged in
-        # exact (time, seq) order.
+        # so the per-event work is kept to one heap pop + the callback
+        # itself.  Heap, pop and clock access are bound to locals, the
+        # dispatch wrapper is inlined (one fewer Python frame per event),
+        # and the budget checks are single comparisons that short-circuit
+        # when no watchdog is installed.
         heap = self._heap
-        streams = self._streams
-        pool = self._pool
         heappop = heapq.heappop
         # repro: allow[DET] hot-loop local for the watchdog's wall-time check only
         monotonic = time.monotonic
@@ -850,263 +419,20 @@ class Simulator:
         processed = self._events_processed
         fn: Optional[Callable[..., Any]] = None
         try:
-            while True:
-                while heap and heap[0].cancelled:
-                    heappop(heap)
-                    if self._cancelled_pending > 0:
-                        self._cancelled_pending -= 1
-                if streams and (
-                    not heap
-                    or streams[0][0] < heap[0].time
-                    or (
-                        streams[0][0] == heap[0].time
-                        and streams[0][1] < heap[0].seq
-                    )
-                ):
-                    entry = streams[0]
-                    t = entry[0]
-                    if t > until:
-                        break
-                    heappop(streams)
-                    fn = entry[2]
-                    self.now = t
-                    fn(*entry[3])
-                elif heap:
-                    ev = heap[0]
-                    t = ev.time
-                    if t > until:
-                        break
-                    heappop(heap)
-                    fn = ev.fn
-                    self.now = t
-                    fn(*ev.args)
-                    if ev.recycle:
-                        ev.fn = _nop
-                        ev.args = ()
-                        if len(pool) < _POOL_MAX:
-                            pool.append(ev)
-                else:
-                    break
-                processed += 1
-                if event_budget is not None and processed >= event_budget:
-                    raise WatchdogExceeded(
-                        f"event budget of {watchdog.max_events} events exhausted "
-                        f"before reaching t={until}",
-                        sim_time=self.now,
-                        component="Simulator",
-                        context={"events_processed": processed},
-                    )
-                if (
-                    wall_limit is not None
-                    and processed % stride == 0
-                    and monotonic() - wall_start > wall_limit
-                ):
-                    raise WatchdogExceeded(
-                        f"wall-clock budget of {wall_limit}s exhausted "
-                        f"before reaching t={until}",
-                        sim_time=self.now,
-                        component="Simulator",
-                        context={"wall_seconds": monotonic() - wall_start},
-                    )
-            self.now = until
-        except SimulationError as exc:
-            # Already structured (watchdog, invariant checker, nested
-            # engine, ...); just fill in the virtual time if the raiser
-            # could not.  self.now is preferred over the event's own time:
-            # a batching callback may have advanced the clock past it.
-            if exc.sim_time is None and fn is not None:
-                exc.sim_time = self.now
-            raise
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            name = getattr(fn, "__qualname__", None) or getattr(
-                fn, "__name__", repr(fn)
-            )
-            raise CallbackError(
-                f"event callback {name!r} raised {type(exc).__name__}: {exc}",
-                sim_time=self.now,
-                callback=name,
-                component="Simulator",
-            ) from exc
-        finally:
-            self._events_processed = processed
-            self._running = False
-            self._horizon = None
-
-    def _run_wheel(self, until: float) -> None:
-        """The wheel-backend run loop; same contract as :meth:`run`.
-
-        Per event: scan to the first live wheel entry (cached hint, at
-        most one 256-slot sweep), clean the overflow head, three-way
-        merge wheel/overflow/stream heads by ``(time, seq)``, dispatch,
-        recycle pooled events.  The scan is inlined — the engine spends
-        essentially the whole simulation here, and with the hint warm the
-        common case is a single non-empty bucket probe.
-        """
-        watchdog = self._watchdog
-        event_budget = (
-            self._events_processed + watchdog.max_events
-            if watchdog is not None and watchdog.max_events is not None
-            else None
-        )
-        wall_limit = watchdog.max_wall_seconds if watchdog is not None else None
-        # repro: allow[DET] watchdog wall-time budget; never feeds simulation state
-        wall_start = time.monotonic() if wall_limit is not None else 0.0
-        self._running = True
-        self._horizon = until
-        wheel = self._wheel
-        overflow = self._overflow
-        streams = self._streams
-        pool = self._pool
-        epoch = self._epoch
-        heappop = heapq.heappop
-        # repro: allow[DET] hot-loop local for the watchdog's wall-time check only
-        monotonic = time.monotonic
-        stride = Watchdog.WALL_CHECK_STRIDE
-        processed = self._events_processed
-        fn: Optional[Callable[..., Any]] = None
-        try:
-            while True:
-                # -- earliest live wheel entry (inlined _find_bucket) --
-                bucket: Optional[List[_WheelEntry]] = None
-                a = 0
-                if self._wheel_count:
-                    base = int((self.now - epoch) * _INV_WIDTH)
-                    a = self._hint
-                    if a < base:
-                        a = base
-                    stop = a + _WHEEL_SLOTS
-                    count = self._wheel_count
-                    while a < stop:
-                        b = wheel[a & _WHEEL_MASK]
-                        while b:
-                            if b[0][2].cancelled:
-                                heappop(b)
-                                count -= 1
-                                if self._cancelled_pending > 0:
-                                    self._cancelled_pending -= 1
-                            else:
-                                bucket = b
-                                break
-                        if bucket is not None:
-                            break
-                        a += 1
-                    self._wheel_count = count
-                    self._hint = a
-                # -- three-way (time, seq) merge -----------------------
-                # The overflow head may be lazily cancelled; it is only
-                # discarded when it reaches the winner position (below),
-                # so dead far-future timers accumulate and trip the
-                # auto-compactor instead of being drained one per event.
-                src = 0
-                t = 0.0
-                s = 0
-                if bucket is not None:
-                    head = bucket[0]
-                    t = head[0]
-                    s = head[1]
-                    src = 1
-                if overflow:
-                    entry = overflow[0]
-                    if src == 0 or entry[0] < t or (entry[0] == t and entry[1] < s):
-                        t = entry[0]
-                        s = entry[1]
-                        src = 2
-                if streams:
-                    sentry = streams[0]
-                    if src == 0 or sentry[0] < t or (sentry[0] == t and sentry[1] < s):
-                        t = sentry[0]
-                        src = 3
-                if src == 0:
-                    break
-                if src == 2 and overflow[0][2].cancelled:
-                    heappop(overflow)
-                    if self._cancelled_pending > 0:
-                        self._cancelled_pending -= 1
-                    continue
+            while heap:
+                t, _seq, fn, args, handle = heap[0]
                 if t > until:
-                    # The merge winner is the global minimum, so nothing
-                    # can fire before the horizon — the run is done.
                     break
-                if src == 1:
-                    # Bucket-drain fast path: every entry in this bucket
-                    # sorts before every entry of any later bucket (the
-                    # slot partitions time), so consecutive pops need no
-                    # rescan — only ``until`` and the overflow/stream
-                    # heads (which callbacks may refill) can preempt,
-                    # checked per pop.  This amortises the scan + merge
-                    # over the bucket's whole occupancy, which is where
-                    # the wheel beats per-event heap maintenance.
-                    assert bucket is not None
-                    limit = (a + 1) * _WIDTH + epoch
-                    if until < limit:
-                        limit = until
-                    while bucket:
-                        entry = bucket[0]
-                        t = entry[0]
-                        if t > limit:
-                            break
-                        if overflow:
-                            oh = overflow[0]
-                            if oh[0] < t or (oh[0] == t and oh[1] < entry[1]):
-                                break
-                        if streams:
-                            sh = streams[0]
-                            if sh[0] < t or (sh[0] == t and sh[1] < entry[1]):
-                                break
-                        heappop(bucket)
-                        self._wheel_count -= 1
-                        ev = entry[2]
-                        if ev.cancelled:
-                            if self._cancelled_pending > 0:
-                                self._cancelled_pending -= 1
-                            continue
-                        fn = ev.fn
-                        self.now = t
-                        fn(*ev.args)
-                        if ev.recycle:
-                            ev.fn = _nop
-                            ev.args = ()
-                            if len(pool) < _POOL_MAX:
-                                pool.append(ev)
-                        processed += 1
-                        if event_budget is not None and processed >= event_budget:
-                            raise WatchdogExceeded(
-                                f"event budget of {watchdog.max_events} events "
-                                f"exhausted before reaching t={until}",
-                                sim_time=self.now,
-                                component="Simulator",
-                                context={"events_processed": processed},
-                            )
-                        if (
-                            wall_limit is not None
-                            and processed % stride == 0
-                            and monotonic() - wall_start > wall_limit
-                        ):
-                            raise WatchdogExceeded(
-                                f"wall-clock budget of {wall_limit}s exhausted "
-                                f"before reaching t={until}",
-                                sim_time=self.now,
-                                component="Simulator",
-                                context={"wall_seconds": monotonic() - wall_start},
-                            )
-                    continue
-                if src == 3:
-                    sentry = heappop(streams)
-                    fn = sentry[2]
-                    self.now = t
-                    fn(*sentry[3])
-                else:
-                    ev = heappop(overflow)[2]
-                    fn = ev.fn
-                    self.now = t
-                    fn(*ev.args)
-                    if ev.recycle:
-                        ev.fn = _nop
-                        ev.args = ()
-                        if len(pool) < _POOL_MAX:
-                            pool.append(ev)
+                heappop(heap)
+                if handle is not None:
+                    if handle.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                    # Detach: a cancel() from here on (the callback
+                    # stopping its own timer, say) is a no-op.
+                    handle.sim = None
+                self.now = t
+                fn(*args)
                 processed += 1
                 if event_budget is not None and processed >= event_budget:
                     raise WatchdogExceeded(
@@ -1132,178 +458,64 @@ class Simulator:
         except SimulationError as exc:
             # Already structured (watchdog, invariant checker, nested
             # engine, ...); just fill in the virtual time if the raiser
-            # could not.  self.now is preferred over the event's own time:
-            # a batching callback may have advanced the clock past it.
+            # could not.
             if exc.sim_time is None and fn is not None:
                 exc.sim_time = self.now
             raise
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
-            name = getattr(fn, "__qualname__", None) or getattr(
-                fn, "__name__", repr(fn)
-            )
-            raise CallbackError(
-                f"event callback {name!r} raised {type(exc).__name__}: {exc}",
-                sim_time=self.now,
-                callback=name,
-                component="Simulator",
-            ) from exc
+            raise _callback_error(fn, exc, self.now) from exc
         finally:
             self._events_processed = processed
             self._running = False
-            self._horizon = None
 
     def step(self) -> bool:
         """Process a single event.  Returns False when nothing is pending.
 
-        Merges the lanes exactly as :meth:`run` does.  No run horizon is
-        in effect, so batchers cannot absorb events inline — each
-        continuation is dispatched one per call.  Callback failures
-        receive the same structured wrapping as in :meth:`run`.
+        Pops exactly as :meth:`run` does; callback failures receive the
+        same structured wrapping.
         """
-        streams = self._streams
-        if self._wheel_on:
-            bucket = self._find_bucket()
-            self._clean_overflow()
-            overflow = self._overflow
-            src = 0
-            t = 0.0
-            s = 0
-            if bucket:
-                t, s = bucket[0][0], bucket[0][1]
-                src = 1
-            if overflow:
-                entry = overflow[0]
-                if src == 0 or entry[0] < t or (entry[0] == t and entry[1] < s):
-                    t, s = entry[0], entry[1]
-                    src = 2
-            if streams:
-                sentry = streams[0]
-                if src == 0 or sentry[0] < t or (sentry[0] == t and sentry[1] < s):
-                    src = 3
-            if src == 0:
-                return False
-            if src == 3:
-                when, _seq, fn, args = heapq.heappop(streams)
-                self.now = when
-                self._dispatch(fn, args, when)
-            else:
-                if src == 1:
-                    assert bucket is not None
-                    ev = heapq.heappop(bucket)[2]
-                    self._wheel_count -= 1
-                else:
-                    ev = heapq.heappop(overflow)[2]
-                self.now = ev.time
-                self._dispatch(ev.fn, ev.args, ev.time)
-                self._recycle(ev)
-            self._events_processed += 1
-            return True
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            if self._cancelled_pending > 0:
-                self._cancelled_pending -= 1
-        if streams and (
-            not heap
-            or streams[0][0] < heap[0].time
-            or (streams[0][0] == heap[0].time and streams[0][1] < heap[0].seq)
-        ):
-            when, _seq, fn, args = heapq.heappop(streams)
-            self.now = when
-            self._dispatch(fn, args, when)
-            self._events_processed += 1
-            return True
-        if heap:
-            ev = heapq.heappop(heap)
-            self.now = ev.time
-            self._dispatch(ev.fn, ev.args, ev.time)
-            self._recycle(ev)
+        while heap:
+            t, _seq, fn, args, handle = heapq.heappop(heap)
+            if handle is not None:
+                if handle.cancelled:
+                    self._cancelled_pending -= 1
+                    continue
+                handle.sim = None
+            self.now = t
+            try:
+                fn(*args)
+            except SimulationError as exc:
+                if exc.sim_time is None:
+                    exc.sim_time = t
+                raise
+            except Exception as exc:
+                raise _callback_error(fn, exc, t) from exc
             self._events_processed += 1
             return True
         return False
 
-    def _recycle(self, ev: Event) -> None:
-        """Return a pool-managed event to the freelist after dispatch."""
-        if ev.recycle:
-            ev.fn = _nop
-            ev.args = ()
-            if len(self._pool) < _POOL_MAX:
-                self._pool.append(ev)
-
-    def _dispatch(self, fn: Callable[..., Any], args: tuple, when: float) -> None:
-        """Run one callback, converting failures into structured errors."""
-        try:
-            fn(*args)
-        except SimulationError as exc:
-            # Already structured (invariant checker, nested engine, ...);
-            # just fill in the virtual time if the raiser could not.
-            if exc.sim_time is None:
-                exc.sim_time = when
-            raise
-        except Exception as exc:
-            name = getattr(fn, "__qualname__", None) or getattr(
-                fn, "__name__", repr(fn)
-            )
-            raise CallbackError(
-                f"event callback {name!r} raised {type(exc).__name__}: {exc}",
-                sim_time=when,
-                callback=name,
-                component="Simulator",
-            ) from exc
-
     @property
     def pending_events(self) -> int:
-        """Number of events still queued — lane entries (including
-        lazily-cancelled ones) plus pending stream-lane continuations."""
-        if self._wheel_on:
-            return self._wheel_count + len(self._overflow) + len(self._streams)
-        return len(self._heap) + len(self._streams)
+        """Number of heap entries still queued, including lazily-cancelled ones."""
+        return len(self._heap)
 
     @property
     def cancelled_pending(self) -> int:
-        """Lazily-cancelled events still sitting in the lanes.
-
-        An upper bound: events cancelled *after* they fired (or after the
-        lanes were already drained of them) are counted until the next
-        compaction resets the tally.
-        """
+        """Cancelled entries still sitting in the heap (exact)."""
         return self._cancelled_pending
 
     @property
     def compactions(self) -> int:
-        """Number of lane compactions performed so far."""
+        """Number of heap compactions that removed at least one entry."""
         return self._compactions
 
     @property
     def events_processed(self) -> int:
         """Total number of callbacks executed so far."""
         return self._events_processed
-
-    @property
-    def events_batched(self) -> int:
-        """Events absorbed inline by batching (:meth:`advance_to`).
-
-        ``events_processed + events_batched`` is the workload's *logical*
-        event count — what an unbatched run would have dispatched.
-        """
-        return self._events_batched
-
-    @property
-    def batch_breaks(self) -> int:
-        """Times a batch stopped early because a foreign event intervened."""
-        return self._batch_breaks
-
-    @property
-    def pool_hits(self) -> int:
-        """Pooled scheduling calls served from the Event freelist."""
-        return self._pool_hits
-
-    @property
-    def pool_misses(self) -> int:
-        """Pooled scheduling calls that had to allocate a fresh Event."""
-        return self._pool_misses
 
     def register_metrics(self, registry: Any) -> None:
         """Register the engine's counters under the ``engine.`` prefix.
@@ -1315,26 +527,33 @@ class Simulator:
         registry.register_provider("engine", self._metrics_snapshot)
 
     def _metrics_snapshot(self) -> Dict[str, Any]:
-        """Flat end-of-run metric values for :meth:`register_metrics`."""
+        """Flat end-of-run metric values for :meth:`register_metrics`.
+
+        Only counters a traced run shares with an untraced one: the
+        trace's own epoch count lives in its ``engine_epoch`` events.
+        """
         return {
-            "scheduler": self.scheduler,
             "events_processed": self._events_processed,
-            "events_batched": self._events_batched,
-            "batch_breaks": self._batch_breaks,
             "cancelled_pending": self._cancelled_pending,
             "compactions": self._compactions,
-            "pending_events": self.pending_events,
-            "pool_free": len(self._pool),
-            "pool_hits": self._pool_hits,
-            "pool_misses": self._pool_misses,
-            "trace_epochs": self._trace_epochs,
+            "pending_events": len(self._heap),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Simulator t={self.now:.6f} scheduler={self.scheduler} "
-            f"pending={self.pending_events}>"
-        )
+        return f"<Simulator t={self.now:.6f} pending={self.pending_events}>"
+
+
+def _callback_error(
+    fn: Optional[Callable[..., Any]], exc: Exception, when: float
+) -> CallbackError:
+    """Wrap a callback's exception with its virtual time and name."""
+    name = getattr(fn, "__qualname__", None) or getattr(fn, "__name__", repr(fn))
+    return CallbackError(
+        f"event callback {name!r} raised {type(exc).__name__}: {exc}",
+        sim_time=when,
+        callback=name,
+        component="Simulator",
+    )
 
 
 class PeriodicTimer:

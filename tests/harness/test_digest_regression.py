@@ -18,7 +18,7 @@ the constants — in a commit that says so.
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from repro.aqm.adaptive import AdaptivePiAqm
 from repro.harness import light_tcp, run_experiment
@@ -80,25 +80,21 @@ def test_fallback_stream_matches_historical_seed():
 
 
 def test_scheduler_backends_share_the_golden_digest():
-    """The timer-wheel core must hash onto the heap's golden values.
+    """The one event core still hashes onto the golden values.
 
-    Both golden constants above were minted under the reference heap;
-    running the same experiments under scheduler="wheel" (and "heap"
-    explicitly, guarding the default) must reproduce them bit-for-bit —
-    the strongest end-to-end statement of the wheel's (time, seq)
-    pop-order parity.
+    Both golden constants above were minted under the old reference
+    heap and reproduced by the timer wheel; the single tuple heap that
+    replaced both must reproduce them bit-for-bit, with no backend left
+    to select.
     """
-    for scheduler in ("heap", "wheel"):
-        exp = replace(_adaptive_experiment(), scheduler=scheduler)
-        assert _digest_hash(run_experiment(exp)) == GOLDEN_ADAPTIVE
+    exp = _adaptive_experiment()
+    assert not {"scheduler", "link_batching"} & {f.name for f in fields(exp)}
+    assert _digest_hash(run_experiment(exp)) == GOLDEN_ADAPTIVE
 
 
 def test_scheduler_backends_agree_under_faults():
-    heap = run_experiment(
-        replace(_adaptive_experiment(faults=True), scheduler="heap")
-    )
-    wheel = run_experiment(
-        replace(_adaptive_experiment(faults=True), scheduler="wheel")
-    )
-    assert _digest_hash(heap) == GOLDEN_ADAPTIVE_FAULTS
-    assert heap.digest() == wheel.digest()
+    """Fault-flap timing under the one core: a burst-loss window and a
+    jittered AQM timer hash onto the golden faulted digest, so every
+    fault event still lands at its exact place in the schedule."""
+    result = run_experiment(_adaptive_experiment(faults=True))
+    assert _digest_hash(result) == GOLDEN_ADAPTIVE_FAULTS

@@ -2,13 +2,14 @@
 
 Four claims are pinned here:
 
-* **Determinism** — a traced run produces the identical result digest as
-  an untraced one, on both scheduler backends, through the parallel
-  executor and the supervised backend, and against the repository's
-  golden seeded digests.
+* **Determinism** — a traced run produces the identical result digest
+  and identical ``engine.*`` counters as an untraced one, through the
+  parallel executor and the supervised backend, and against the
+  repository's golden seeded digests.
 * **Schema lock** — the JSONL trace format (header, reserved keys,
-  per-event fields) is v1 and changes only with a deliberate bump,
-  mirroring the static-analysis JSON schema lock.
+  per-event fields) is v2 and changes only with a deliberate bump,
+  mirroring the static-analysis JSON schema lock; schema-1 traces stay
+  readable.
 * **Metrics** — the registry flattens provider snapshots correctly and
   the ``telemetry`` block survives freezing and pickling.
 * **CLI** — ``repro run --trace`` writes a readable trace and
@@ -18,11 +19,10 @@ Four claims are pinned here:
 import io
 import json
 import pickle
-from dataclasses import replace
 
 import pytest
 
-from repro.harness import light_tcp, run_experiment
+from repro.harness import MBPS, light_tcp, run_experiment
 from repro.harness.factories import coupled_factory, pi2_factory
 from repro.harness.frozen import freeze_result
 from repro.harness.parallel import SweepTask, execute_tasks
@@ -61,12 +61,36 @@ def traced_jsonl(tmp_path_factory):
 # Determinism: tracing observes, never perturbs
 # ----------------------------------------------------------------------
 class TestDigestParity:
-    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-    def test_traced_matches_untraced(self, scheduler):
-        exp = replace(_experiment(), scheduler=scheduler)
+    # The ids keep the names of the two former scheduler backends. Each
+    # now selects the pending-set shape that backend was built for:
+    # "heap" a sparse, long-horizon run (10 Mb/s, 100 ms) and "wheel" a
+    # dense near-term packet train (40 Mb/s, 10 ms), once served by the
+    # wheel buckets and link batching. The single heap must be
+    # trace-neutral on both.
+    @pytest.mark.parametrize(
+        "capacity_bps, rtt",
+        [(10 * MBPS, 0.100), (40 * MBPS, 0.010)],
+        ids=["heap", "wheel"],
+    )
+    def test_traced_matches_untraced(self, capacity_bps, rtt):
+        exp = light_tcp(
+            pi2_factory(), capacity_bps=capacity_bps, rtt=rtt,
+            duration=4.0, seed=3,
+        )
         untraced = run_experiment(exp)
-        traced = run_experiment(exp, tracer=RecordingTracer())
+        tracer = RecordingTracer()
+        traced = run_experiment(exp, tracer=tracer)
+        assert tracer.by_event("engine_epoch")
         assert traced.digest() == untraced.digest()
+
+        def engine(result):
+            return {
+                key: value for key, value in result.telemetry.items()
+                if key.startswith("engine.")
+            }
+
+        assert engine(traced) == engine(untraced)
+        assert engine(traced)["engine.events_processed"] > 0
 
     def test_traced_run_reproduces_golden_digest(self):
         result = run_experiment(
@@ -108,18 +132,18 @@ class TestDigestParity:
 
 
 # ----------------------------------------------------------------------
-# JSONL schema lock (v1)
+# JSONL schema lock (v2)
 # ----------------------------------------------------------------------
 class TestTraceSchema:
     def test_schema_version_locked(self):
-        assert TRACE_SCHEMA_VERSION == 1
+        assert TRACE_SCHEMA_VERSION == 2
         assert CATEGORIES == ("aqm", "engine", "harness")
 
     def test_header_line_locked(self, traced_jsonl):
         path, _ = traced_jsonl
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {
-            "schema": 1,
+            "schema": 2,
             "kind": "repro-trace",
             "categories": ["aqm", "engine", "harness"],
         }
@@ -151,11 +175,10 @@ class TestTraceSchema:
         )
         assert {"aqm", "verdict", "p", "ecn", "flow"} <= set(decisions[0])
         assert decisions[0]["verdict"] in ("pass", "mark", "drop")
-        assert {
-            "epoch", "scheduler", "wheel", "overflow", "stream", "heap",
-            "events_processed", "events_batched", "batch_breaks",
-            "pool_hits", "pool_misses",
-        } <= set(epochs[0])
+        assert set(epochs[0]) == {
+            "cat", "event", "t", "epoch", "heap", "events_processed",
+            "cancelled_pending", "compactions",
+        }
 
     def test_coupled_updates_carry_ps_and_pc(self, tmp_path):
         tracer = RecordingTracer(categories=["aqm"])
@@ -200,11 +223,11 @@ class TestTraceSchema:
 class TestMetricsRegistry:
     def test_set_increment_snapshot(self):
         registry = MetricsRegistry()
-        registry.set("scheduler", "wheel")
+        registry.set("aqm", "Pi2Aqm")
         registry.increment("runs")
         registry.increment("runs", 2)
         snapshot = registry.snapshot()
-        assert snapshot["scheduler"] == "wheel"
+        assert snapshot["aqm"] == "Pi2Aqm"
         assert snapshot["runs"] == 3
         assert list(snapshot) == sorted(snapshot)
 
@@ -225,7 +248,7 @@ class TestMetricsRegistry:
         result = run_experiment(_experiment(duration=3.0))
         telemetry = result.telemetry
         assert telemetry is not None
-        assert telemetry["scheduler"] == "wheel"
+        assert telemetry["seed"] == 3
         for prefix in ("engine.", "aqm.", "link."):
             assert any(key.startswith(prefix) for key in telemetry), prefix
         assert telemetry["aqm.decisions"] > 0
@@ -247,14 +270,19 @@ class TestSummarizeTrace:
     def test_reconstructs_control_law_series(self, traced_jsonl):
         path, result = traced_jsonl
         summary = summarize_trace(path)
-        assert summary["schema"] == 1
+        assert summary["schema"] == 2
         aqm = summary["aqm"]
         assert aqm["updates"] > 0
         series = aqm["series"]
         assert len(series["t"]) == len(series["p_prime"]) == len(
             series["delay"]
         ) > 0
-        assert summary["engine"]["epochs"] > 0
+        engine = summary["engine"]
+        assert engine["epochs"] > 0
+        assert engine["max_heap"] > 0
+        assert engine["events_processed"] == result.telemetry[
+            "engine.events_processed"
+        ]
         total_decisions = sum(aqm["decisions"].values())
         assert total_decisions == result.telemetry["aqm.decisions"]
 
@@ -270,6 +298,28 @@ class TestSummarizeTrace:
         assert main(["trace", "summarize", str(path), "--json"], out=out) == 0
         payload = json.loads(out.getvalue())
         assert payload["events"] > 0
+
+    def test_schema_1_trace_still_summarizes(self, tmp_path):
+        """A trace written before the single heap (schema 1, wheel-era
+        lane fields) is read; keys it lacks are omitted, not invented."""
+        from repro.obs import format_trace_summary
+
+        path = tmp_path / "v1.jsonl"
+        header = {"categories": ["engine"], "kind": "repro-trace", "schema": 1}
+        epoch = {
+            "cat": "engine", "event": "engine_epoch", "t": 0.25, "epoch": 1,
+            "scheduler": "wheel", "wheel": 12, "overflow": 3, "stream": 2,
+            "pool_hits": 40, "events_processed": 77, "events_batched": 9,
+        }
+        path.write_text(json.dumps(header) + "\n" + json.dumps(epoch) + "\n")
+        summary = summarize_trace(path)
+        assert summary["schema"] == 1
+        assert summary["engine"] == {
+            "epochs": 1, "last_t": 0.25, "events_processed": 77,
+        }
+        text = format_trace_summary(summary)
+        assert "events processed: 77" in text
+        assert "peak heap" not in text
 
     def test_cli_trace_summarize_bad_path(self, tmp_path):
         from repro.cli import main

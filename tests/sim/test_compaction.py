@@ -190,15 +190,37 @@ class TestPeriodicTimerChurn:
         sim.run(until=10.0)
         assert timer.fires == 4
 
-    def test_counter_is_upper_bound_after_fired_event_cancel(self, sim):
-        """Cancelling an event that already fired still bumps the tally
-        (documented upper-bound semantics); compact() resets it."""
+    def test_cancel_after_firing_is_not_counted(self, sim):
+        """The count is exact: a fired event is detached from the
+        simulator, so cancelling it afterwards counts nothing."""
         ev = sim.schedule(1.0, _noop)
         sim.run(until=2.0)
         ev.cancel()
-        assert sim.cancelled_pending == 1
+        assert sim.cancelled_pending == 0
         assert sim.pending_events == 0
-        sim.compact()
+
+    def test_timer_stopping_itself_counts_nothing(self, sim):
+        """A timer stopped from inside its own callback cancels the event
+        that is firing: nothing is left to count or compact."""
+        timer = sim.every(0.5, lambda: timer.stop())
+        sim.run(until=2.0)
+        assert timer.fires == 1
+        assert sim.cancelled_pending == 0
+        assert sim.compactions == 0
+
+    def test_self_stopping_timers_never_trigger_empty_compactions(self, sim):
+        """Enough self-stopping timers to cross the threshold three times
+        over: with exact counting no compaction scan even starts, since
+        there is nothing to remove."""
+        scans = []
+        compact = sim.compact
+        sim.compact = lambda: scans.append(sim.now) or compact()
+        timers = []
+        for i in range(3 * Simulator.COMPACT_THRESHOLD):
+            timers.append(sim.every(1.0, lambda i=i: timers[i].stop()))
+        sim.run(until=5.0)
+        assert all(t.fires == 1 for t in timers)
+        assert scans == []
         assert sim.cancelled_pending == 0
 
 

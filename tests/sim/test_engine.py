@@ -168,116 +168,72 @@ class TestPeriodicTimer:
 
 
 class TestStreamLane:
-    """The batcher-facing API: reserved seqs, the stream lane, horizon."""
-
-    def test_reserve_seq_shares_the_schedule_counter(self, sim):
-        a = sim.schedule(1.0, lambda: None)
-        reserved = sim.reserve_seq()
-        b = sim.schedule(1.0, lambda: None)
-        assert a.seq < reserved < b.seq
+    """Handle-less entries (``call_later``/``call_at``) — what the former
+    stream lane carried — share the one heap with cancellable ones."""
 
     def test_stream_events_merge_with_heap_in_time_order(self, sim):
         seen = []
-        sim.schedule(2.0, lambda: seen.append("heap"))
-        sim.stream_schedule(1.0, sim.reserve_seq(), lambda: seen.append("stream"))
+        sim.schedule(2.0, lambda: seen.append("handle"))
+        sim.call_at(1.0, lambda: seen.append("no-handle"))
         sim.schedule(3.0, lambda: seen.append("late"))
         sim.run(5.0)
-        assert seen == ["stream", "heap", "late"]
+        assert seen == ["no-handle", "handle", "late"]
 
     def test_same_time_ties_break_on_seq(self, sim):
         seen = []
-        first = sim.reserve_seq()
-        sim.schedule(1.0, lambda: seen.append("heap"))  # later seq than first
-        sim.stream_schedule(1.0, first, lambda: seen.append("stream"))
-        second = sim.reserve_seq()  # later seq than the heap event
-        sim.stream_schedule(1.0, second, lambda: seen.append("stream2"))
+        sim.call_at(1.0, lambda: seen.append("first"))
+        sim.schedule(1.0, lambda: seen.append("handle"))
+        sim.call_later(1.0, lambda: seen.append("last"))
         sim.run(2.0)
-        assert seen == ["stream", "heap", "stream2"]
-
-    def test_at_reserved_is_the_unbatched_twin(self, sim):
-        seen = []
-        seq = sim.reserve_seq()
-        sim.at_reserved(1.0, seq, seen.append, "x")
-        sim.run(2.0)
-        assert seen == ["x"]
+        assert seen == ["first", "handle", "last"]
 
     def test_scheduling_into_past_rejected(self, sim):
         sim.schedule(1.0, lambda: None)
         sim.run(1.0)
         with pytest.raises(ValueError):
-            sim.stream_schedule(0.5, sim.reserve_seq(), lambda: None)
+            sim.call_at(0.5, lambda: None)
         with pytest.raises(ValueError):
-            sim.at_reserved(0.5, sim.reserve_seq(), lambda: None)
+            sim.call_later(-0.5, lambda: None)
 
     def test_pending_events_counts_both_lanes(self, sim):
         sim.schedule(1.0, lambda: None)
-        sim.stream_schedule(2.0, sim.reserve_seq(), lambda: None)
+        sim.call_at(2.0, lambda: None)
         assert sim.pending_events == 2
 
     def test_peek_spans_both_lanes(self, sim):
         assert sim.peek() is None
         ev = sim.schedule(2.0, lambda: None)
         assert sim.peek() == (2.0, ev.seq)
-        seq = sim.reserve_seq()
-        sim.stream_schedule(1.0, seq, lambda: None)
-        assert sim.peek() == (1.0, seq)
+        sim.call_at(1.0, lambda: None)
+        assert sim.peek() == (1.0, ev.seq + 1)
         assert sim.peek_time() == 1.0
 
     def test_step_dispatches_stream_events(self, sim):
         seen = []
-        sim.stream_schedule(1.0, sim.reserve_seq(), lambda: seen.append(sim.now))
+        sim.call_at(1.0, lambda: seen.append(sim.now))
         assert sim.step()
         assert seen == [1.0]
         assert not sim.step()
 
-    def test_advance_to_moves_clock_and_counts(self, sim):
-        sim.advance_to(1.5)
-        assert sim.now == 1.5
-        assert sim.events_batched == 1
-        with pytest.raises(ValueError):
-            sim.advance_to(1.0)
-
-    def test_note_batch_break_counter(self, sim):
-        assert sim.batch_breaks == 0
-        sim.note_batch_break()
-        assert sim.batch_breaks == 1
-
-    def test_horizon_set_only_inside_run(self, sim):
-        assert sim.horizon is None
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(sim.horizon))
-        sim.run(4.0)
-        assert seen == [4.0]
-        assert sim.horizon is None
-
 
 class TestSchedulerBackends:
-    """The timer-wheel backend vs the reference heap."""
+    """The one event core: no backend knob, exact order at any delay."""
 
     def test_invalid_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(scheduler="fifo")
-
-    def test_heap_backend_still_selectable(self):
-        sim = Simulator(scheduler="heap")
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(sim.now))
-        sim.run(2.0)
-        assert seen == [1.0]
+        # The start time is the only constructor argument.
+        with pytest.raises(TypeError):
+            Simulator(scheduler="heap")
 
     def test_far_future_events_ride_overflow_and_fire(self, sim):
-        # Anything past the wheel's one-rotation safety window lands in
-        # the overflow heap; it must still fire in exact time order.
         seen = []
-        sim.schedule(5.0, lambda: seen.append(5.0))   # overflow lane
-        sim.schedule(0.1, lambda: seen.append(0.1))   # wheel lane
+        sim.schedule(5.0, lambda: seen.append(5.0))
+        sim.schedule(0.1, lambda: seen.append(0.1))
         sim.run(10.0)
         assert seen == [0.1, 5.0]
         assert sim.pending_events == 0
 
     def test_wheel_spans_many_rotations(self, sim):
-        # 256 slots x ~1 ms: t=10 s is ~40 rotations out.  Rearming
-        # timers walk the epoch forward through all of them.
+        # A re-arming timer walks the clock across a long span.
         seen = []
 
         def tick():
@@ -290,114 +246,188 @@ class TestSchedulerBackends:
         assert seen == [0.5 * (i + 1) for i in range(20)]
 
     def test_sub_slot_bursts_keep_schedule_order(self, sim):
-        # Many same-slot (even same-time) events: FIFO by seq.
+        # Many same-time events: FIFO by seq.
         seen = []
         for i in range(50):
             sim.schedule(0.0001, lambda i=i: seen.append(i))
         sim.run(1.0)
         assert seen == list(range(50))
 
-    def test_call_later_events_are_recycled(self, sim):
-        sim.call_later(0.01, lambda: None)
-        sim.run(1.0)
-        assert len(sim._pool) == 1  # dispatched event went to the freelist
-        sim.call_later(0.01, lambda: None)
-        assert len(sim._pool) == 0  # reused, not allocated
-        sim.run(2.0)
-        assert len(sim._pool) == 1
-
     def test_handled_events_are_never_pooled(self, sim):
-        # schedule() hands out a cancellable handle; recycling it would
-        # alias a stale cancel() onto an unrelated future event.
+        # A fired handle is detached from the simulator: a stale
+        # cancel() counts nothing and cannot touch a later event.
         ev = sim.schedule(0.01, lambda: None)
         sim.run(1.0)
-        assert len(sim._pool) == 0
-        ev.cancel()  # harmless after firing, and cannot hit a reused slot
+        assert ev.sim is None
+        ev.cancel()
+        assert sim.cancelled_pending == 0
         sim.call_later(0.01, lambda: None)
         sim.run(2.0)
         assert sim.events_processed == 2
 
 
-def _drive(scheduler, ops):
-    """Apply one randomized workload script to a backend; return its
-    dispatch trace.  Callback behaviour is keyed by op kind so both
-    backends execute byte-for-byte the same program:
+class _ListHandle:
+    __slots__ = ("cancelled",)
 
-    * ``later``  — relative schedule; ``rearm`` callbacks reschedule a
-      child, ``flap`` callbacks cancel the oldest pending sibling
-      *mid-drain* (the fault-injection pattern: timers torn down while
-      the wheel is dispatching their bucket).
-    * ``cancel`` — cancel a pending event from outside the run loop.
-    * ``stream`` — a batcher continuation through the stream lane.
-    * ``pooled`` — a fire-and-forget ``call_later`` (freelisted event).
-    * ``drain``  — advance the horizon a bit (events straddle run()s).
+    def __init__(self):
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ListSimulator:
+    """Reference engine: a plain list of ``[time, seq, fn, args, handle]``;
+    the next event is the live entry first in ``(time, seq)`` order."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._entries = []
+        self._seq = 0
+
+    def _add(self, when, fn, args, handle):
+        self._entries.append([when, self._seq, fn, args, handle])
+        self._seq += 1
+        return handle
+
+    def schedule(self, delay, fn, *args):
+        return self._add(self.now + delay, fn, args, _ListHandle())
+
+    def at(self, when, fn, *args):
+        return self._add(when, fn, args, _ListHandle())
+
+    def call_later(self, delay, fn, *args):
+        self._add(self.now + delay, fn, args, None)
+
+    def call_at(self, when, fn, *args):
+        self._add(when, fn, args, None)
+
+    def _pop(self, until):
+        self._entries.sort(key=lambda e: (e[0], e[1]))
+        while self._entries and (until is None or self._entries[0][0] <= until):
+            entry = self._entries.pop(0)
+            if entry[4] is None or not entry[4].cancelled:
+                return entry
+        return None
+
+    def _fire(self, entry):
+        if entry[4] is not None:
+            entry[4].cancelled = True  # a fired handle cancels nothing
+        self.now = entry[0]
+        entry[2](*entry[3])
+
+    def step(self):
+        entry = self._pop(None)
+        if entry is not None:
+            self._fire(entry)
+
+    def run(self, until):
+        while (entry := self._pop(until)) is not None:
+            self._fire(entry)
+        self.now = until
+
+    def compact(self):
+        pass
+
+
+def _drive(sim, ops):
+    """Apply one random workload script to ``sim``; return its dispatch
+    trace of ``(time, event id)``.  Callback behaviour is keyed by op:
+
+    * ``schedule`` / ``at`` / ``call_later`` / ``call_at`` — the four
+      entry points; ``rearm`` callbacks schedule a child, ``flap``
+      callbacks cancel the oldest handle mid-run.
+    * ``cancel`` — cancel a handle (pending or already fired) from
+      outside the run loop.
+    * ``step`` — dispatch one event.
+    * ``run`` — run the clock a bit further (events straddle runs).
+    * ``compact`` — explicit compaction between runs.
     """
     import itertools as _it
 
-    sim = Simulator(scheduler=scheduler)
     trace = []
-    live = []
+    handles = []
     ids = _it.count()
 
-    def fire(i, kind, delay):
+    def add(entry_point, delay, kind):
+        i = next(ids)
+        if entry_point == "schedule":
+            handles.append(sim.schedule(delay, fire, i, kind))
+        elif entry_point == "at":
+            handles.append(sim.at(sim.now + delay, fire, i, kind))
+        elif entry_point == "call_later":
+            sim.call_later(delay, fire, i, kind)
+        else:
+            sim.call_at(sim.now + delay, fire, i, kind)
+
+    def fire(i, kind):
         trace.append((sim.now, i))
         if kind == "rearm":
-            live.append(sim.schedule(delay + 0.003, fire, next(ids), "plain", 0.0))
-        elif kind == "flap" and live:
-            live.pop(0).cancel()
+            add("call_later", 0.003, "plain")
+        elif kind == "flap" and handles:
+            handles.pop(0).cancel()
 
     for op in ops:
-        if op[0] == "later":
-            _, delay, kind = op
-            live.append(sim.schedule(delay, fire, next(ids), kind, delay))
-        elif op[0] == "cancel":
-            if live:
-                live.pop(op[1] % len(live)).cancel()
-        elif op[0] == "stream":
-            seq = sim.reserve_seq()
-            sim.stream_schedule(sim.now + op[1], seq, fire, next(ids), "plain", 0.0)
-        elif op[0] == "pooled":
-            sim.call_later(op[1], fire, next(ids), "plain", 0.0)
-        else:  # drain
+        name = op[0]
+        if name in ("schedule", "at", "call_later", "call_at"):
+            add(name, op[1], op[2])
+        elif name == "cancel":
+            if handles:
+                handles.pop(op[1] % len(handles)).cancel()
+        elif name == "step":
+            sim.step()
+        elif name == "run":
             sim.run(sim.now + op[1])
+        else:  # compact
+            sim.compact()
     sim.run(sim.now + 5.0)
-    assert sim.pending_events == 0
     return trace
+
+
+def _check_against_oracle(ops):
+    sim = Simulator()
+    assert _drive(sim, ops) == _drive(_ListSimulator(), ops)
+    assert sim.pending_events == 0
+    assert sim.cancelled_pending == 0
 
 
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    # Delays straddle all three placements: sub-slot dense, in-window,
-    # and past the one-rotation safety margin (overflow lane).
     _DELAY = st.one_of(
+        st.just(0.0),
         st.floats(min_value=0.0, max_value=0.001),
-        st.floats(min_value=0.0, max_value=0.2),
-        st.floats(min_value=0.2, max_value=2.0),
+        st.floats(min_value=0.0, max_value=2.0),
     )
     _OP = st.one_of(
-        st.tuples(st.just("later"), _DELAY,
-                  st.sampled_from(["plain", "rearm", "flap"])),
+        st.tuples(
+            st.sampled_from(["schedule", "at", "call_later", "call_at"]),
+            _DELAY,
+            st.sampled_from(["plain", "rearm", "flap"]),
+        ),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=999)),
-        st.tuples(st.just("stream"), st.floats(min_value=0.0, max_value=0.05)),
-        st.tuples(st.just("pooled"), _DELAY),
-        st.tuples(st.just("drain"), st.floats(min_value=0.0, max_value=0.5)),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("run"), st.floats(min_value=0.0, max_value=0.5)),
+        st.tuples(st.just("compact")),
     )
 
-    class TestPopOrderParity:
-        """Property: wheel and heap produce the identical dispatch
-        stream — same (time, id) sequence — for arbitrary interleavings
-        of scheduling, cancellation (incl. mid-drain fault flaps),
-        stream-lane traffic, and staged horizons."""
+    class TestDispatchOracle:
+        """Property: for any interleaving of the four scheduling entry
+        points, cancellation (incl. mid-run flaps), ``step``, staged
+        ``run`` horizons and ``compact``, the engine's dispatch trace
+        equals the reference list engine's: live events in ``(time,
+        seq)`` order, cancelled ones never."""
 
-        @settings(max_examples=50, deadline=None)
+        @settings(max_examples=100, deadline=None)
         @given(ops=st.lists(_OP, max_size=60))
-        def test_wheel_trace_equals_heap_trace(self, ops):
-            assert _drive("wheel", ops) == _drive("heap", ops)
+        def test_dispatch_trace_equals_sorted_oracle(self, ops):
+            _check_against_oracle(ops)
 
 except ImportError:  # pragma: no cover - hypothesis is in the dev env
-    def test_wheel_trace_equals_heap_trace_fallback():
-        ops = [("later", 0.1 * i % 0.7, ("plain", "rearm", "flap")[i % 3])
-               for i in range(40)] + [("drain", 0.2), ("cancel", 3)]
-        assert _drive("wheel", ops) == _drive("heap", ops)
+    def test_dispatch_trace_equals_sorted_oracle_fallback():
+        kinds = ("plain", "rearm", "flap")
+        points = ("schedule", "at", "call_later", "call_at")
+        ops = [(points[i % 4], 0.1 * i % 0.7, kinds[i % 3]) for i in range(40)]
+        ops += [("run", 0.2), ("cancel", 3), ("step",), ("compact",)]
+        _check_against_oracle(ops)
