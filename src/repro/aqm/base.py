@@ -201,9 +201,20 @@ class AQM:
 
     # -- datapath hooks ---------------------------------------------------
     def decide(self, packet: "Packet") -> Decision:
-        """Run :meth:`on_enqueue` and record the outcome in :attr:`stats`."""
+        """Run :meth:`on_enqueue` and record the outcome in :attr:`stats`.
+
+        The tally is :meth:`AQMStats.record` written out inline: this runs
+        once per bottleneck packet.
+        """
         decision = self.on_enqueue(packet)
-        self.stats.record(decision)
+        stats = self.stats
+        stats.decisions += 1
+        if decision is Decision.PASS:
+            stats.passed += 1
+        elif decision is Decision.MARK:
+            stats.marked += 1
+        else:
+            stats.dropped += 1
         return decision
 
     def on_enqueue(self, packet: "Packet") -> Decision:

@@ -32,7 +32,7 @@ from typing import Optional
 from repro.aqm.base import AQM, Decision, clamp_unit
 from repro.aqm.pi import PIController
 from repro.core.coupling import K_DEPLOYED
-from repro.net.packet import Packet
+from repro.net.packet import ECN, Packet
 from repro.sim.random import default_stream
 from repro.units import PerSecond, Probability, Seconds
 
@@ -77,7 +77,10 @@ class CoupledPi2Aqm(AQM):
 
     def on_enqueue(self, packet: Packet) -> Decision:
         ps = self.controller.p
-        if packet.is_scalable:
+        # Figure 9's classifier, ``Packet.is_scalable`` written out inline
+        # (this runs once per packet): ECT(1), or CE on an ECT(1) packet.
+        ecn = packet.ecn
+        if ecn is ECN.ECT1 or (ecn is ECN.CE and packet.ect is ECN.ECT1):
             # Scalable branch: direct linear marking, think once.
             self.scalable_seen += 1
             if ps > 0.0 and self.rng.random() < ps:
@@ -89,7 +92,7 @@ class CoupledPi2Aqm(AQM):
         pc_prime = clamp_unit(ps / self.k)
         if pc_prime > 0.0 and max(self.rng.random(), self.rng.random()) < pc_prime:
             self.classic_signalled += 1
-            if packet.ecn_capable:
+            if ecn is not ECN.NOT_ECT:
                 return Decision.MARK  # ECT(0): classic ECN marking
             return Decision.DROP
         return Decision.PASS

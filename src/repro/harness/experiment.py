@@ -412,6 +412,7 @@ def run_experiment(
         )
 
     bed.link.register_metrics(registry)
+    bed.queue.register_metrics(registry)
 
     sim.call_at(experiment.warmup, bed.flows.open_windows, experiment.warmup)
     sim.run(until=experiment.duration)

@@ -237,7 +237,7 @@ class Dumbbell:
             flow_id,
             ack_out=rev_pipe.deliver,
             ecn_mode=_ECN_MODE[cc],
-            on_data=lambda now, pkt, rec=record: rec.on_segment(now),
+            on_data=record.on_segment,
             sack=sack,
         )
         fwd_pipe = Pipe(self.sim, rtt / 2.0, sink=receiver)

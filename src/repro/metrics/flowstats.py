@@ -27,8 +27,12 @@ class FlowRecord:
         self._window_start: Optional[float] = None
         self._window_segments = 0
 
-    def on_segment(self, now: float) -> None:
-        """Receiver callback: one in-order segment delivered."""
+    def on_segment(self, now: float, packet: object = None) -> None:
+        """Receiver callback: one in-order segment delivered.
+
+        The signature matches the receiver's ``on_data(now, packet)``
+        callback, so a record's bound method is passed to it directly.
+        """
         self.segments_delivered += 1
         if self._window_start is not None:
             self._window_segments += 1

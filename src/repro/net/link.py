@@ -142,9 +142,9 @@ class Link:
         return self.busy_time / elapsed if elapsed > 0 else 0.0
 
     def _mark_busy(self) -> None:
-        if self._busy_since is None:
-            self._busy_since = self.sim.now
-            self.idle_time += self.sim.now - self._idle_since
+        """Close the idle interval; called on the idle → busy transition."""
+        self._busy_since = self.sim.now
+        self.idle_time += self.sim.now - self._idle_since
 
     def _mark_idle(self) -> None:
         if self._busy_since is not None:
@@ -170,7 +170,8 @@ class Link:
             self._mark_idle()
             return
         self.busy = True
-        self._mark_busy()
+        if self._busy_since is None:  # idle -> busy
+            self._mark_busy()
         tx_time = packet.size * 8.0 / self.capacity_bps
         self.busy_time += tx_time
         self.bytes_sent += packet.size

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 
 __all__ = ["ECN", "Packet", "DEFAULT_MSS", "ACK_SIZE", "HEADER_BYTES"]
 
@@ -33,7 +32,8 @@ HEADER_BYTES = 52
 #: Size of a pure ACK on the wire.
 ACK_SIZE = HEADER_BYTES
 
-_packet_uid = itertools.count()
+#: Draws the next packet uid (a bound C method: no Python frame per packet).
+_next_uid = itertools.count().__next__
 
 
 class ECN(enum.IntEnum):
@@ -50,7 +50,9 @@ class ECN(enum.IntEnum):
         return self is not ECN.NOT_ECT
 
 
-@dataclass(slots=True)
+_NOT_ECT = ECN.NOT_ECT
+
+
 class Packet:
     """A simulated IP packet carrying a TCP segment, an ACK, or UDP payload.
 
@@ -76,43 +78,81 @@ class Packet:
     ect:
         The original ECT codepoint, preserved across CE marking so the
         classifier can treat ``ECT(1) or CE`` as Scalable (Figure 9).
+        Defaults to ``ecn`` when only ``ecn`` is given.
     ece:
         ECN-Echo flag on ACKs (classic feedback, RFC 3168) — also used by
         the DCTCP receiver's accurate per-packet echo.
     cwr:
         Congestion-Window-Reduced flag on data packets; stops the classic
         receiver's persistent ECE echo.
+    sack:
+        Selective-acknowledgement information on ACKs: the receiver's
+        out-of-order segment numbers above ``ack`` (a bounded snapshot of
+        the SACK scoreboard; empty when SACK is off).
     enqueue_time / send_time:
         Timestamps stamped by the queue and the sender; the difference
         between dequeue and ``enqueue_time`` is the per-packet queue delay
         that Figures 14 and 16 report distributions of.
+    uid:
+        Unique packet number, drawn from a process-wide counter.
+
+    Every data segment and ACK is built here, so ``__init__`` is one
+    hand-written frame.
     """
 
-    flow_id: int
-    size: int = DEFAULT_MSS + HEADER_BYTES
-    seq: int = -1
-    ack: int = -1
-    is_ack: bool = False
-    ecn: ECN = ECN.NOT_ECT
-    ect: ECN = ECN.NOT_ECT
-    ece: bool = False
-    cwr: bool = False
-    seg_count: int = 1
-    #: Selective-acknowledgement information on ACKs: the receiver's
-    #: out-of-order segment numbers above ``ack`` (a bounded snapshot of
-    #: the SACK scoreboard; empty when SACK is off).
-    sack: tuple = ()
-    send_time: float = 0.0
-    enqueue_time: float = 0.0
-    is_retransmit: bool = False
-    uid: int = field(default_factory=lambda: next(_packet_uid))
+    __slots__ = (
+        "flow_id",
+        "size",
+        "seq",
+        "ack",
+        "is_ack",
+        "ecn",
+        "ect",
+        "ece",
+        "cwr",
+        "seg_count",
+        "sack",
+        "send_time",
+        "enqueue_time",
+        "is_retransmit",
+        "uid",
+    )
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"packet size must be positive (got {self.size})")
+    def __init__(
+        self,
+        flow_id: int,
+        size: int = DEFAULT_MSS + HEADER_BYTES,
+        seq: int = -1,
+        ack: int = -1,
+        is_ack: bool = False,
+        ecn: ECN = ECN.NOT_ECT,
+        ect: ECN = ECN.NOT_ECT,
+        ece: bool = False,
+        cwr: bool = False,
+        seg_count: int = 1,
+        sack: tuple = (),
+        send_time: float = 0.0,
+        enqueue_time: float = 0.0,
+        is_retransmit: bool = False,
+    ):
+        if size <= 0:
+            raise ValueError(f"packet size must be positive (got {size})")
+        self.flow_id = flow_id
+        self.size = size
+        self.seq = seq
+        self.ack = ack
+        self.is_ack = is_ack
+        self.ecn = ecn
         # Preserve the original ECT codepoint if the caller set only `ecn`.
-        if self.ect is ECN.NOT_ECT and self.ecn is not ECN.NOT_ECT:
-            self.ect = self.ecn
+        self.ect = ecn if ect is _NOT_ECT else ect
+        self.ece = ece
+        self.cwr = cwr
+        self.seg_count = seg_count
+        self.sack = sack
+        self.send_time = send_time
+        self.enqueue_time = enqueue_time
+        self.is_retransmit = is_retransmit
+        self.uid = _next_uid()
 
     # ------------------------------------------------------------------
     # ECN operations

@@ -5,16 +5,18 @@ the per-flow netem delay that sets each flow's base RTT, and the reverse
 (ACK) path, which the testbed keeps uncongested.  Packets are delivered to
 the sink exactly ``delay`` seconds after entering.  Each packet in flight
 is one fire-and-forget engine event
-(:meth:`~repro.sim.engine.Simulator.call_later`), so arrivals keep their
-order and interleave with every other event in exact ``(time, seq)``
-order.
+(:meth:`~repro.sim.engine.Simulator.call_later`) whose callback is the
+sink's own ``deliver``: the pipe adds no frame at arrival time, arrivals
+keep their order, and they interleave with every other event in exact
+``(time, seq)`` order.
 
 :class:`DropPipe` is the shared base for pipes that discard packets on the
 way through; :class:`LossyPipe` (independent Bernoulli loss) lives here,
 and the adverse-path family — Gilbert–Elliott bursty loss, corruption,
 reordering, duplication — lives in :mod:`repro.net.faults`.  Pipes that
 perturb a packet's delay (reordering's ``extra_delay``, duplication's
-``dup_gap``) schedule those perturbed arrivals the same way.
+``dup_gap``) schedule those perturbed arrivals through
+:meth:`Pipe._schedule_arrival`, onto the same sink callback.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ class Pipe:
         One-way delay in seconds (0 delivers synchronously).
     sink:
         Downstream recipient; may be attached after construction.
+
+    :attr:`delivered` counts the packets the pipe has accepted for
+    delivery: it is incremented when a packet enters and its arrival is
+    scheduled, not when the sink receives it, so packets still in flight
+    are included.  Dropped packets (:class:`DropPipe`) are not counted.
     """
 
     def __init__(
@@ -56,21 +63,24 @@ class Pipe:
         self.delivered = 0
 
     def deliver(self, packet: Packet) -> None:
-        if self.sink is None:
+        sink = self.sink
+        if sink is None:
             raise RuntimeError("pipe has no sink connected")
-        self._schedule_arrival(packet)
+        self.delivered += 1
+        if self.delay <= 0:
+            sink.deliver(packet)
+        else:
+            # Fire-and-forget: arrivals are never cancelled.
+            self.sim.call_later(self.delay, sink.deliver, packet)
 
     def _schedule_arrival(self, packet: Packet, extra_delay: float = 0.0) -> None:
+        """Accept ``packet`` for delivery after ``delay + extra_delay``."""
+        self.delivered += 1
         delay = self.delay + extra_delay
         if delay <= 0:
-            self._arrive(packet)
-            return
-        # Fire-and-forget: arrivals are never cancelled.
-        self.sim.call_later(delay, self._arrive, packet)
-
-    def _arrive(self, packet: Packet) -> None:
-        self.delivered += 1
-        self.sink.deliver(packet)
+            self.sink.deliver(packet)
+        else:
+            self.sim.call_later(delay, self.sink.deliver, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Pipe delay={self.delay * 1e3:.2f}ms>"

@@ -22,6 +22,18 @@ PIE was designed for hardware and estimates queuing delay as
 The per-packet *actual* sojourn time is additionally recorded at dequeue
 time (difference of timestamps); that is the quantity whose distribution
 Figures 14 and 16 report.
+
+Datapath cost
+-------------
+:meth:`AQMQueue.enqueue` and :meth:`AQMQueue.dequeue` run once per
+bottleneck packet, so the queue decides at construction whether its
+estimator measures departures: only the measured estimator is told about
+backlog and departures; the exact one, which needs neither, costs no call.
+Likewise the AQM's departure hook runs only if the AQM overrides it.
+The link's wake-up runs only when a packet lands in an *empty* queue; a
+non-empty queue is always either being drained by a busy link or held by
+a downed one, which resumes draining by itself (:meth:`Link.set_up
+<repro.net.link.Link.set_up>`).
 """
 
 from __future__ import annotations
@@ -194,11 +206,21 @@ class AQMQueue:
         self.aqm = aqm
         self.buffer_packets = buffer_packets
         self.estimator = estimator or CapacityDelayEstimator(capacity_bps)
+        #: The estimator when it measures departures, else None (the exact
+        #: estimator needs no per-packet observation).
+        self._measured: Optional[DepartureRateEstimator] = (
+            self.estimator if isinstance(self.estimator, DepartureRateEstimator) else None
+        )
         self.on_sojourn = on_sojourn
         self.stats = QueueStats()
         self._fifo: deque[Packet] = deque()
         self._bytes = 0
         self._wakeup: Optional[Callable[[], None]] = None
+        #: Whether the AQM overrides the no-op :meth:`AQM.on_dequeue` (CoDel
+        #: does; the PI family does not), so the base hook costs no call.
+        self._aqm_sees_departures = (
+            aqm is not None and type(aqm).on_dequeue is not AQM.on_dequeue
+        )
         #: Fault-injection gate: a predicate consulted before the AQM; a
         #: True return drops the arriving packet (counted separately from
         #: AQM/tail drops so loss attribution in reports stays honest).
@@ -223,33 +245,38 @@ class AQMQueue:
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
         """Run the AQM decision and enqueue.  Returns False if dropped."""
-        self.stats.arrived += 1
-        self.stats.bytes_arrived += packet.size
+        stats = self.stats
+        stats.arrived += 1
+        stats.bytes_arrived += packet.size
 
         if self._ingress_fault is not None and self._ingress_fault(packet):
-            self.stats.fault_dropped += 1
+            stats.fault_dropped += 1
             return False
 
-        if len(self._fifo) >= self.buffer_packets:
-            self.stats.tail_dropped += 1
+        fifo = self._fifo
+        if len(fifo) >= self.buffer_packets:
+            stats.tail_dropped += 1
             return False
 
         if self.aqm is not None:
             decision = self.aqm.decide(packet)
             if decision is Decision.DROP:
-                self.stats.aqm_dropped += 1
+                stats.aqm_dropped += 1
                 return False
             if decision is Decision.MARK:
                 packet.mark_ce()
-                self.stats.ce_marked += 1
+                stats.ce_marked += 1
 
         packet.enqueue_time = self.sim.now
-        self._fifo.append(packet)
+        was_empty = not fifo
+        fifo.append(packet)
         self._bytes += packet.size
-        self.stats.enqueued += 1
-        if isinstance(self.estimator, DepartureRateEstimator):
-            self.estimator.observe_backlog(self._bytes)
-        if self._wakeup is not None:
+        stats.enqueued += 1
+        if self._measured is not None:
+            self._measured.observe_backlog(self._bytes)
+        if was_empty and self._wakeup is not None:
+            # Empty -> non-empty: the only transition that can find the
+            # link idle (see the module docstring).
             self._wakeup()
         return True
 
@@ -258,19 +285,25 @@ class AQMQueue:
         if not self._fifo:
             return None
         packet = self._fifo.popleft()
-        self._bytes -= packet.size
+        size = packet.size
+        self._bytes -= size
         now = self.sim.now
-        self.stats.dequeued += 1
-        self.stats.bytes_dequeued += packet.size
-        self.estimator.on_dequeue(packet.size, now)
-        if self.aqm is not None:
+        stats = self.stats
+        stats.dequeued += 1
+        stats.bytes_dequeued += size
+        if self._measured is not None:
+            self._measured.on_dequeue(size, now)
+        if self._aqm_sees_departures:
             self.aqm.on_dequeue(packet, now)
         if self.on_sojourn is not None:
             self.on_sojourn(now, now - packet.enqueue_time, packet)
         return packet
 
     def set_wakeup(self, fn: Callable[[], None]) -> None:
-        """Register the link's 'queue became non-empty' notification."""
+        """Register the link's 'queue became non-empty' notification.
+
+        ``fn`` runs when an enqueue finds the queue empty, and only then.
+        """
         self._wakeup = fn
 
     def set_ingress_fault(self, fn: Optional[Callable[[Packet], bool]]) -> None:
@@ -283,6 +316,24 @@ class AQMQueue:
         corruption windows at the bottleneck.
         """
         self._ingress_fault = fn
+
+    # ------------------------------------------------------------------
+    # Telemetry
+    # ------------------------------------------------------------------
+    def register_metrics(self, registry: object) -> None:
+        """Register the queue's counters under the ``queue.`` prefix.
+
+        ``registry`` is a :class:`repro.obs.metrics.MetricsRegistry`
+        (duck-typed so the net layer never imports the observability
+        layer).  The provider reads :attr:`stats` at snapshot time, so
+        the datapath pays nothing for it.
+        """
+        registry.register_provider("queue", self._metrics_snapshot)  # type: ignore[attr-defined]
+
+    def _metrics_snapshot(self) -> dict:
+        """Flat metric values: every :class:`QueueStats` counter."""
+        stats = self.stats
+        return {name: getattr(stats, name) for name in QueueStats.__slots__}
 
     def __len__(self) -> int:
         return len(self._fifo)

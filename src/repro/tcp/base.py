@@ -40,7 +40,9 @@ INITIAL_RTO = 1.0
 
 #: How a sender negotiates and reacts to ECN.
 ECNMode = str  # one of "off", "classic", "scalable"
-_ECN_MODES = ("off", "classic", "scalable")
+#: The ECN codepoint a sender's data segments carry, per ECN mode.
+_DATA_ECN = {"off": ECN.NOT_ECT, "classic": ECN.ECT0, "scalable": ECN.ECT1}
+_ECN_MODES = tuple(_DATA_ECN)
 
 
 class TcpSender:
@@ -104,6 +106,8 @@ class TcpSender:
         self.transmit = transmit
         self.mss = mss
         self.ecn_mode = ecn_mode
+        #: Codepoint stamped on every data segment (fixed by ``ecn_mode``).
+        self._data_ect = _DATA_ECN[ecn_mode]
         self.flow_size = flow_size
         self.on_complete = on_complete
 
@@ -206,13 +210,6 @@ class TcpSender:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def _data_ecn(self) -> ECN:
-        if self.ecn_mode == "classic":
-            return ECN.ECT0
-        if self.ecn_mode == "scalable":
-            return ECN.ECT1
-        return ECN.NOT_ECT
-
     def _maybe_send(self) -> None:
         if self.sack:
             # SACKed segments have left the network; the scoreboard gives
@@ -235,7 +232,7 @@ class TcpSender:
             flow_id=self.flow_id,
             size=self.mss + HEADER_BYTES,
             seq=seq,
-            ecn=self._data_ecn(),
+            ecn=self._data_ect,
             cwr=self._cwr_pending,
             send_time=self.sim.now,
             is_retransmit=retransmit,
@@ -254,15 +251,27 @@ class TcpSender:
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
-    def deliver(self, packet: Packet) -> None:
-        """Sink interface: the reverse path delivers ACKs here."""
-        if packet.is_ack:
-            self._on_ack(packet)
+    def deliver(self, ack: Packet) -> None:
+        """Sink interface: the reverse path delivers ACKs here.
 
-    def _on_ack(self, ack: Packet) -> None:
-        if self.completed:
+        This is the ACK handler itself, and it writes the RTT sample, the
+        window growth and the flight-size test out inline: it runs once
+        per ACK, and every frame it saves is saved on every ACK.
+        Non-ACK packets and ACKs after completion are ignored.
+        """
+        if not ack.is_ack or self.completion_time is not None:
             return
-        self._rtt_sample(self.sim.now - ack.send_time)
+        # RTT sample and RTO (RFC 6298).
+        rtt = self.sim.now - ack.send_time
+        if rtt > 0:
+            srtt = self.srtt
+            if srtt is None:
+                self.srtt = rtt
+                self.rttvar = rtt / 2
+            else:
+                self.rttvar = 0.75 * self.rttvar + 0.25 * abs(srtt - rtt)
+                self.srtt = 0.875 * srtt + 0.125 * rtt
+            self.rto = max(MIN_RTO, self.srtt + 4 * self.rttvar)
         if self.sack:
             # Rebuild the scoreboard from the ACK's (start, end) blocks.
             sacked = set()
@@ -298,8 +307,15 @@ class TcpSender:
                     # Deflate by what the partial ACK removed from flight.
                     self._inflation = max(0, self._inflation - acked)
                     self._send_segment(self.una, retransmit=True)
+            elif self.cwnd < self.ssthresh:
+                # Slow start, switching to CA at ssthresh.
+                grow = min(acked, max(0.0, self.ssthresh - self.cwnd))
+                self.cwnd += grow
+                rest = acked - grow
+                if rest > 0:
+                    self.ca_increase(int(rest))
             else:
-                self._grow_window(acked)
+                self.ca_increase(acked)
 
             if self.ecn_mode == "classic" and ack.ece:
                 self._ecn_reaction()
@@ -312,7 +328,17 @@ class TcpSender:
             if self.flow_size is not None and self.una >= self.flow_size:
                 self._complete()
                 return
-            self._arm_rto() if self.flight_size > 0 else self._cancel_rto()
+            if self.next_seq > self.una:
+                # Data still in flight: re-arm the RTO.  _arm_rto's
+                # deadline write, inline; the heap is touched only when
+                # no timer is pending or the deadline moved earlier.
+                deadline = self.sim.now + self.rto * self._backoff
+                self._rto_deadline = deadline
+                ev = self._rto_event
+                if ev is None or ev.time > deadline:
+                    self._schedule_rto(deadline)
+            else:
+                self._cancel_rto()
         else:
             self.dupacks += 1
             if self.in_recovery:
@@ -324,17 +350,6 @@ class TcpSender:
             if self.dupacks == 3 and not self.in_recovery:
                 self._fast_retransmit()
         self._maybe_send()
-
-    def _grow_window(self, acked: int) -> None:
-        if self.cwnd < self.ssthresh:
-            # Slow start, switching to CA at ssthresh.
-            grow = min(acked, max(0.0, self.ssthresh - self.cwnd))
-            self.cwnd += grow
-            rest = acked - grow
-            if rest > 0:
-                self.ca_increase(int(rest))
-        else:
-            self.ca_increase(acked)
 
     # ------------------------------------------------------------------
     # Congestion events
@@ -387,17 +402,6 @@ class TcpSender:
     # ------------------------------------------------------------------
     # RTT / RTO machinery (RFC 6298)
     # ------------------------------------------------------------------
-    def _rtt_sample(self, rtt: float) -> None:
-        if rtt <= 0:
-            return
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2
-        else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt
-        self.rto = max(MIN_RTO, self.srtt + 4 * self.rttvar)
-
     def _arm_rto(self) -> None:
         """(Re)start the retransmission timer at ``now + rto * backoff``.
 
@@ -413,11 +417,15 @@ class TcpSender:
         deadline = self.sim.now + self.rto * self._backoff
         self._rto_deadline = deadline
         ev = self._rto_event
-        if ev is None:
-            self._rto_event = self.sim.at(deadline, self._on_rto)
-        elif ev.time > deadline:
-            ev.cancel()
-            self._rto_event = self.sim.at(deadline, self._on_rto)
+        if ev is None or ev.time > deadline:
+            self._schedule_rto(deadline)
+
+    def _schedule_rto(self, deadline: float) -> None:
+        """Put the RTO wakeup on the heap at ``deadline``, replacing a
+        pending later one."""
+        if self._rto_event is not None:
+            self._rto_event.cancel()
+        self._rto_event = self.sim.at(deadline, self._on_rto)
 
     def _cancel_rto(self) -> None:
         # Lazy disarm: the pending event (if any) sees the cleared

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.net.packet import ACK_SIZE, Packet
+from repro.net.packet import ACK_SIZE, ECN, Packet
 from repro.sim.engine import Event, Simulator
 
 __all__ = ["TcpReceiver", "DELACK_TIMEOUT"]
@@ -101,14 +101,15 @@ class TcpReceiver:
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
-    def deliver(self, packet: Packet) -> None:
-        """Sink interface for the forward path."""
-        if packet.is_ack:
-            return
-        self._on_data(packet)
+    def deliver(self, pkt: Packet) -> None:
+        """Sink interface for the forward path: the data handler itself.
 
-    def _on_data(self, pkt: Packet) -> None:
-        ce = pkt.ce_marked
+        It runs once per data segment, so the CE test is written out
+        inline (``Packet.ce_marked``).  ACKs are ignored.
+        """
+        if pkt.is_ack:
+            return
+        ce = pkt.ecn is ECN.CE
         if ce:
             self.ce_received += 1
         if self.ecn_mode == "classic":
@@ -157,13 +158,6 @@ class TcpReceiver:
     # ------------------------------------------------------------------
     # ACK generation
     # ------------------------------------------------------------------
-    def _ece_flag(self) -> bool:
-        if self.ecn_mode == "classic":
-            return self._ece_latched
-        if self.ecn_mode == "scalable":
-            return self._ce_state
-        return False
-
     def _sack_blocks(self) -> tuple:
         """Contiguous runs of the out-of-order set as (start, end) blocks."""
         seqs = sorted(self._ooo)
@@ -181,7 +175,7 @@ class TcpReceiver:
         return tuple(blocks[: self.SACK_LIMIT])
 
     def _send_ack(self) -> None:
-        self._cancel_delack()
+        self._delack_deadline = None  # _cancel_delack(), inline
         sack_info: tuple = ()
         if self.sack and self._ooo:
             sack_info = self._sack_blocks()
@@ -190,7 +184,10 @@ class TcpReceiver:
             size=ACK_SIZE,
             ack=self.rcv_next,
             is_ack=True,
-            ece=self._ece_flag(),
+            # The echo flag: only the classic discipline ever latches ECE
+            # and only the accurate one tracks CE state, so at most one
+            # of the two can be set.
+            ece=self._ece_latched or self._ce_state,
             sack=sack_info,
             send_time=self._pending_ts,
         )
