@@ -18,6 +18,9 @@ import tempfile
 
 from repro.harness.cache import ResultCache
 from repro.harness.factories import coupled_factory
+from repro.harness.journal import ResultJournal
+from repro.harness.parallel import RunPolicy
+from repro.harness.supervisor import SupervisorConfig
 from repro.harness.sweep import run_coexistence_grid
 
 #: Small enough for CI, big enough to cross warmup and exercise the AQM.
@@ -36,7 +39,9 @@ def test_serial_rerun_is_bit_identical():
 
 def test_parallel_matches_serial_bit_exact():
     serial = run_coexistence_grid(coupled_factory(), seed=7, **TINY_GRID)
-    parallel = run_coexistence_grid(coupled_factory(), seed=7, jobs=2, **TINY_GRID)
+    parallel = run_coexistence_grid(
+        coupled_factory(), seed=7, policy=RunPolicy(jobs=2), **TINY_GRID
+    )
     assert len(serial) == len(parallel)
     assert [(c.link_mbps, c.rtt_ms) for c in serial] == [
         (c.link_mbps, c.rtt_ms) for c in parallel
@@ -47,9 +52,13 @@ def test_parallel_matches_serial_bit_exact():
 def test_cached_rerun_matches_and_hits():
     with tempfile.TemporaryDirectory() as cache_dir:
         cache = ResultCache(cache_dir)
-        cold = run_coexistence_grid(coupled_factory(), seed=7, cache=cache, **TINY_GRID)
+        cold = run_coexistence_grid(
+            coupled_factory(), seed=7, policy=RunPolicy(cache=cache), **TINY_GRID
+        )
         assert cache.stats.stores == len(cold)
-        warm = run_coexistence_grid(coupled_factory(), seed=7, cache=cache, **TINY_GRID)
+        warm = run_coexistence_grid(
+            coupled_factory(), seed=7, policy=RunPolicy(cache=cache), **TINY_GRID
+        )
         assert cache.stats.hits == len(cold)
         assert _digests(cold) == _digests(warm)
 
@@ -58,7 +67,8 @@ def test_supervised_matches_serial_bit_exact():
     """The watchdogged backend must be invisible in the results."""
     serial = run_coexistence_grid(coupled_factory(), seed=7, **TINY_GRID)
     supervised = run_coexistence_grid(
-        coupled_factory(), seed=7, jobs=2, supervised=True, **TINY_GRID
+        coupled_factory(), seed=7,
+        policy=RunPolicy(jobs=2, supervisor=SupervisorConfig()), **TINY_GRID
     )
     assert _digests(serial) == _digests(supervised)
     assert supervised.recovery is not None
@@ -73,10 +83,16 @@ def test_journal_resume_matches_uninterrupted_bit_exact():
     with tempfile.TemporaryDirectory() as tmp:
         journal = os.path.join(tmp, "grid.journal")
         first = run_coexistence_grid(
-            coupled_factory(), seed=7, journal=journal, **TINY_GRID
+            coupled_factory(), seed=7,
+            policy=RunPolicy(supervisor=SupervisorConfig(),
+                             journal=ResultJournal(journal)),
+            **TINY_GRID
         )
         resumed = run_coexistence_grid(
-            coupled_factory(), seed=7, journal=journal, resume=True, **TINY_GRID
+            coupled_factory(), seed=7,
+            policy=RunPolicy(supervisor=SupervisorConfig(),
+                             journal=ResultJournal(journal), resume=True),
+            **TINY_GRID
         )
         assert _digests(first) == _digests(resumed)
         assert resumed.recovery.replayed == len(first)

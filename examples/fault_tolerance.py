@@ -8,20 +8,31 @@ loss — with invariant checking enabled, and shows each controller
 re-pinning its 20 ms target once the faults clear.
 
 Part 2 runs a coexistence sweep in which one cell's AQM is sabotaged to
-diverge (its controller update returns NaN).  With ``on_error="capture"``
-the sweep retries the cell on a bumped seed, records a structured failure
-with the virtual time of the divergence, and still completes every other
-cell — a 25-cell overnight sweep no longer dies at cell 23.
+diverge (its controller update returns NaN).  With
+``RunPolicy(on_error="capture")`` the sweep retries the cell on a bumped
+seed, records a structured failure with the virtual time of the
+divergence, and still completes every other cell — a 25-cell overnight
+sweep no longer dies at cell 23.
+
+Part 3 runs a small grid under the supervised backend with a result
+journal, then "resumes" it: every cell is replayed from the journal
+instead of re-simulated, with identical digests.  The same ``RunPolicy``
+value drives every sweep entry point and figure generator.
 
 Run:  python examples/fault_tolerance.py
 """
 
+import os
 import random
+import tempfile
 
 from repro.aqm.pi import PiAqm
 from repro.harness import (
     Experiment,
     FlowGroup,
+    ResultJournal,
+    RunPolicy,
+    SupervisorConfig,
     pi2_factory,
     pie_factory,
     run_coexistence_grid,
@@ -87,17 +98,34 @@ def resilient_sweep():
         rtts_ms=[10, 20, 40],
         duration=4.0,
         warmup=1.0,
-        on_error="capture",
-        max_retries=1,
+        policy=RunPolicy(on_error="capture", max_retries=1),
     )
     print(f"  cells completed: {len(outcome)} of 3")
     print("  " + outcome.failure_report().replace("\n", "\n  "))
+
+
+def journaled_sweep():
+    print("\n=== supervised, journaled sweep and its resume ===")
+    grid = dict(links_mbps=[10], rtts_ms=[10, 20], duration=4.0, warmup=1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.journal")
+        runs = []
+        for resume in (False, True):
+            with ResultJournal(path) as journal:
+                policy = RunPolicy(supervisor=SupervisorConfig(),
+                                   journal=journal, resume=resume)
+                runs.append(run_coexistence_grid(pi2_factory(), policy=policy, **grid))
+            print(f"  {'resumed' if resume else 'first  '}: "
+                  f"{runs[-1].recovery.summary()}")
+    digests = [[cell.result.digest() for cell in run] for run in runs]
+    print(f"  resumed digests identical: {digests[0] == digests[1]}")
 
 
 def main():
     run_through_faults("PI2", pi2_factory())
     run_through_faults("PIE", pie_factory())
     resilient_sweep()
+    journaled_sweep()
     print("\nSweeps degrade gracefully: partial results plus a structured "
           "failure report, never a dead overnight run.")
 

@@ -351,42 +351,83 @@ def _cmd_list(out) -> int:
 
 def _check_compact_every(args) -> None:
     """Reject a nonpositive ``--compact-every`` as configuration, not as
-    a :class:`~repro.errors.JournalError` traceback from the journal."""
-    value = getattr(args, "compact_every", None)
-    if value is not None and value < 1:
-        from repro.errors import ConfigError
+    a :class:`~repro.errors.JournalError` traceback from the journal, and
+    reject it without ``--journal``, where it would do nothing."""
+    from repro.errors import ConfigError
 
+    value = args.compact_every
+    if value is not None and value < 1:
         raise ConfigError(
             f"--compact-every must be a positive append count (got {value})"
         )
+    if value is not None and args.journal is None:
+        raise ConfigError("--compact-every needs --journal")
 
 
-def _cmd_figure(args, out) -> int:
-    from repro.harness.figures import generate_figure
+def _run_policy(args, journal_path, watchdog: bool):
+    """The one :class:`~repro.harness.parallel.RunPolicy` the sweep flags
+    of ``grid`` and ``figure`` describe.
+
+    A task or heartbeat timeout selects the supervised backend, as does
+    ``watchdog``; ``journal_path`` (or None) is where the
+    :class:`~repro.harness.journal.ResultJournal` lives.
+    """
+    from repro.harness.journal import ResultJournal
+    from repro.harness.parallel import RunPolicy
+    from repro.harness.supervisor import SupervisorConfig
 
     _check_compact_every(args)
-
     supervisor = None
-    if args.task_timeout is not None or args.heartbeat_timeout is not None:
-        from repro.harness.supervisor import SupervisorConfig
-
+    if (watchdog or args.task_timeout is not None
+            or args.heartbeat_timeout is not None):
         supervisor = SupervisorConfig(
             task_timeout=args.task_timeout,
             heartbeat_timeout=args.heartbeat_timeout,
         )
+    journal = None
+    if journal_path is not None:
+        journal = ResultJournal(journal_path, compact_every=args.compact_every)
     cache = _make_cache(args)
     tracer = _make_tracer(args)
     if cache is not None and tracer is not None:
         cache.set_tracer(tracer)
-    data = generate_figure(args.name, scale=args.scale, jobs=args.jobs,
-                           cache=cache, tracer=tracer,
-                           journal=args.journal, resume=args.resume,
-                           supervisor=supervisor,
-                           compact_every=args.compact_every)
-    _close_tracer(tracer, out)
+    return RunPolicy(
+        jobs=args.jobs,
+        on_error=getattr(args, "on_error", "raise"),
+        max_retries=getattr(args, "max_retries", 1),
+        cache=cache,
+        supervisor=supervisor,
+        journal=journal,
+        resume=args.resume,
+        tracer=tracer,
+    )
+
+
+def _close_policy(policy, out) -> None:
+    """Close the policy's journal and tracer (printing the trace line)."""
+    if policy.journal is not None:
+        policy.journal.close()
+    _close_tracer(policy.tracer, out)
+
+
+def _cmd_figure(args, out) -> int:
+    import os
+
+    from repro.harness.figures import generate_figure
+
+    # One journal per figure, so a fleet can share one --journal DIR.
+    journal_path = None
+    if args.journal is not None:
+        journal_path = os.path.join(args.journal, f"{args.name}.journal")
+    policy = _run_policy(args, journal_path, watchdog=False)
+    try:
+        data = generate_figure(args.name, scale=args.scale, policy=policy)
+    finally:
+        _close_policy(policy, out)
     print(data.table(), file=out)
-    if data.report is not None and (args.journal or supervisor is not None):
+    if policy.journal is not None or policy.supervisor is not None:
         print(f"figure: {data.report.summary()}", file=out)
+    cache = policy.cache
     if cache is not None and (cache.stats.hits or cache.stats.stores):
         print(f"cache: {cache.stats} ({cache.root})", file=out)
     if args.csv:
@@ -522,35 +563,15 @@ def _cmd_cache(args, out) -> int:
 
 
 def _cmd_grid(args, out) -> int:
-    from repro.harness.supervisor import SupervisorConfig
     from repro.harness.sweep import run_coexistence_grid
 
     links = [float(v) for v in args.links.split(",") if v.strip()]
     rtts = [float(v) for v in args.rtts.split(",") if v.strip()]
-    supervised = (
-        args.supervised or args.journal is not None or args.resume
-        or args.task_timeout is not None or args.heartbeat_timeout is not None
+    # --journal and --resume imply the supervised backend on a grid.
+    policy = _run_policy(
+        args, args.journal,
+        watchdog=args.supervised or args.journal is not None or args.resume,
     )
-    supervisor = None
-    if supervised:
-        supervisor = SupervisorConfig(
-            task_timeout=args.task_timeout,
-            heartbeat_timeout=args.heartbeat_timeout,
-            max_retries=args.max_retries,
-        )
-    _check_compact_every(args)
-    journal = args.journal
-    own_journal = None
-    if args.journal is not None and args.compact_every is not None:
-        from repro.harness.journal import ResultJournal
-
-        journal = own_journal = ResultJournal(
-            args.journal, compact_every=args.compact_every
-        )
-    cache = _make_cache(args)
-    tracer = _make_tracer(args)
-    if cache is not None and tracer is not None:
-        cache.set_tracer(tracer)
     try:
         outcome = run_coexistence_grid(
             FACTORIES[args.aqm](),
@@ -561,20 +582,10 @@ def _cmd_grid(args, out) -> int:
             duration=args.duration,
             warmup=min(10.0, args.duration / 2),
             seed=args.seed,
-            on_error=args.on_error,
-            max_retries=args.max_retries,
-            jobs=args.jobs,
-            cache=cache,
-            supervised=supervised,
-            supervisor=supervisor,
-            journal=journal,
-            resume=args.resume,
-            tracer=tracer,
+            policy=policy,
         )
     finally:
-        if own_journal is not None:
-            own_journal.close()
-    _close_tracer(tracer, out)
+        _close_policy(policy, out)
     rows = [
         (
             cell.link_mbps,
@@ -595,7 +606,7 @@ def _cmd_grid(args, out) -> int:
         ),
         file=out,
     )
-    if outcome.recovery is not None:
+    if policy.supervisor is not None:
         report = outcome.recovery
         print(
             f"supervised: executed={report.executed} "
@@ -606,6 +617,7 @@ def _cmd_grid(args, out) -> int:
         )
         if report.actions:
             print(report.format_actions(), file=out)
+    cache = policy.cache
     if cache is not None and (cache.stats.hits or cache.stats.stores):
         print(f"cache: {cache.stats} ({cache.root})", file=out)
     if not outcome.complete:

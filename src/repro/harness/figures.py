@@ -9,20 +9,17 @@ moderate default durations so a figure is obtainable in seconds-to-a-
 minute from the command line, with a ``scale`` knob to trade time for
 smoothness.
 
-Crash safety
-------------
-Simulation-backed figures run their cells through a
-:class:`FigureRunner`, which gives the figure pipeline the same
-robustness stack as grid sweeps: a crash-safe
-:class:`~repro.harness.journal.ResultJournal` (``journal=`` — every
-completed cell is fsync'd as it finishes), bit-exact resume
-(``resume=True`` replays journaled cells instead of re-simulating),
-optional supervised execution (``supervisor=`` — per-cell watchdogged
-worker processes), and shared-cache-aware scheduling (cells another
-process is already computing are deferred, so a fleet regenerating the
-same figure computes each cell once).  A failing cell raises
-:class:`~repro.errors.FigureGenerationError` naming the figure, the
-cell and the virtual time of death.
+Execution
+---------
+Every generator takes a :class:`~repro.harness.parallel.RunPolicy` and
+hands all of its simulation cells to one
+:func:`~repro.harness.parallel.run_tasks` call through a
+:class:`FigureRunner`, so figures get the same execution stack as grid
+sweeps: process-pool fan-out (``jobs``), the result cache, a crash-safe
+:class:`~repro.harness.journal.ResultJournal` (every completed cell is
+fsync'd as it finishes), bit-exact resume, and supervised execution.  A
+failing cell raises :class:`~repro.errors.FigureGenerationError` naming
+the figure, the cell and the virtual time of death.
 
 Example
 -------
@@ -34,9 +31,8 @@ Example
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +40,6 @@ from repro.analysis.bode import margins_reno_pi, margins_reno_pi2, margins_reno_
 from repro.analysis.fluid import PAPER_PI2_GAINS, PAPER_PIE_GAINS, PAPER_SCAL_GAINS
 from repro.aqm.tune_table import tune_table_rows
 from repro.errors import ConfigError, FigureGenerationError
-from repro.harness.experiment import run_experiment
 from repro.harness.factories import coupled_factory, pi2_factory, pi_factory, pie_factory
 from repro.harness.scenarios import (
     MBPS,
@@ -54,11 +49,11 @@ from repro.harness.scenarios import (
     varying_capacity,
     varying_intensity,
 )
-from repro.harness.sweep import format_table, run_mix_sweep
+from repro.harness.parallel import RunPolicy, RunReport, SweepTask, run_tasks
+from repro.harness.sweep import format_table, grid_cells, mix_cells
 
 __all__ = [
     "FigureData",
-    "FigureRunReport",
     "FigureRunner",
     "FIGURES",
     "MIN_STAGE_SECONDS",
@@ -72,44 +67,6 @@ MIN_STAGE_SECONDS = 0.5
 
 
 @dataclass
-class FigureRunReport:
-    """How one figure's simulation cells were produced.
-
-    ``executed`` cells were simulated, ``replayed`` came from the
-    journal (resume), ``cache_hits`` from the result cache,
-    ``journal_appends``/``compactions`` describe journal activity, and
-    ``deferred`` counts scheduling decisions that postponed a cell
-    another process held in flight in the shared cache.  ``torn_journal``
-    is True when resume found (and tolerated) a crash-torn final record.
-    """
-
-    figure: str = ""
-    executed: int = 0
-    replayed: int = 0
-    cache_hits: int = 0
-    journal_appends: int = 0
-    compactions: int = 0
-    deferred: int = 0
-    torn_journal: bool = False
-
-    def summary(self) -> str:
-        """One-line counter summary for CLI output."""
-        parts = [
-            f"executed={self.executed}",
-            f"replayed={self.replayed}",
-            f"cache_hits={self.cache_hits}",
-            f"journal_appends={self.journal_appends}",
-        ]
-        if self.compactions:
-            parts.append(f"compactions={self.compactions}")
-        if self.deferred:
-            parts.append(f"deferred={self.deferred}")
-        if self.torn_journal:
-            parts.append("torn_journal=yes")
-        return " ".join(parts)
-
-
-@dataclass
 class FigureData:
     """Rows regenerating one figure, plus the paper's expected shape."""
 
@@ -117,7 +74,7 @@ class FigureData:
     headers: List[str]
     rows: List[Tuple]
     note: str = ""
-    report: Optional[FigureRunReport] = None
+    report: RunReport = field(default_factory=RunReport)
 
     def table(self) -> str:
         """Render headers + rows as an aligned text table."""
@@ -140,117 +97,40 @@ def _gm(m):
 
 
 class FigureRunner:
-    """Execution context shared by every simulation cell of one figure.
+    """Runs one figure's simulation cells and reports how.
 
-    Bundles the knobs that used to be threaded positionally through each
-    generator (``jobs``/``cache``/``tracer``) with the crash-safety
-    stack: ``journal`` (a :class:`~repro.harness.journal.ResultJournal`)
-    records each completed cell durably; ``resume=True`` replays
-    journaled cells bit-exactly; ``supervisor`` (a
-    :class:`~repro.harness.supervisor.SupervisorConfig`) runs each cell
-    in a watchdogged worker process.  The runner tallies what happened
-    in :attr:`report`.
-
-    With none of those set, :meth:`run_cell` is the plain in-process
-    path — the tracer sees AQM/engine events and results are
-    bit-identical to what the generators always produced.
+    A figure presents specific seeds, so a failing cell must fail loudly
+    rather than come back from a seed-bumped retry: whatever ``policy``
+    says, the runner captures failures with ``max_retries=0`` on every
+    backend and raises them as
+    :class:`~repro.errors.FigureGenerationError`.  :attr:`report` is the
+    :class:`~repro.harness.parallel.RunReport` of the last run.
     """
 
-    def __init__(self, figure: str, jobs=None, cache=None, tracer=None,
-                 journal=None, resume: bool = False, supervisor=None):
-        if resume and journal is None:
-            raise ConfigError("resume=True requires a journal")
+    def __init__(self, figure: str, policy: RunPolicy = RunPolicy()):
         self.figure = figure
-        self.jobs = jobs
-        self.cache = cache
-        self.tracer = tracer
-        self.journal = journal
-        self.resume = resume
-        self.supervisor = supervisor
-        self.report = FigureRunReport(figure=figure)
-        self._emit = tracer.emit if tracer is not None else None
-        self._replay: Dict[str, object] = {}
-        if resume and journal is not None:
-            replay = journal.read()
-            self._replay = replay.replay_map()
-            self.report.torn_journal = replay.torn
+        self.policy = replace(policy, on_error="capture", max_retries=0)
+        self.report = RunReport()
 
-    # -- single cells ----------------------------------------------------
-    def run_cell(self, label: str, experiment):
-        """Produce one cell: journal replay → cache → execute (+ append).
+    def run_cells(self, tasks: Sequence[SweepTask]) -> list:
+        """Produce every cell in one run; results in task order.
 
-        Raises :class:`~repro.errors.FigureGenerationError` when the
-        cell fails, carrying the figure name, the cell label and the
+        Raises :class:`~repro.errors.FigureGenerationError` for the first
+        failed cell, carrying the figure name, the cell label and the
         worker-side error type / sim-time — a broken cell fails *here*,
         not later in plotting code handed a ``None``.
         """
-        if (self.cache is None and self.journal is None
-                and self.supervisor is None):
-            # Plain path: in-process run; the tracer sees AQM/engine
-            # events and simulation errors propagate with their own
-            # sim-time context.
-            self.report.executed += 1
-            return run_experiment(experiment, tracer=self.tracer)
+        pairs, self.report = run_tasks(tasks, self.policy)
+        for task, (result, failure) in zip(tasks, pairs):
+            if result is None:
+                raise self._cell_error(task.label, failure)
+        return [result for result, _failure in pairs]
 
-        from repro.harness.cache import experiment_cache_key
-
-        key = experiment_cache_key(experiment)
-        if key is not None and key in self._replay:
-            self.report.replayed += 1
-            self._emit_cell(label, "hit")
-            return self._replay[key]
-        if (self.cache is not None and key is not None
-                and self.supervisor is None):
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.report.cache_hits += 1
-                if self._emit is not None:
-                    self._emit("harness", "cache_hit", 0.0, {"label": label})
-                self._journal_append(key, label, hit)
-                self._emit_cell(label, self._journal_state(key))
-                return hit
-        result = self._execute(label, experiment)
-        self._journal_append(key, label, result)
-        self._emit_cell(label, self._journal_state(key))
-        return result
-
-    def _execute(self, label: str, experiment):
-        """Run one cell through the sweep machinery; raise on failure."""
-        from repro.harness.parallel import SweepTask, execute_tasks
-
-        task = SweepTask(label, experiment)
-        if self.supervisor is not None:
-            from repro.harness.supervisor import run_supervised_tasks
-
-            pairs, sub = run_supervised_tasks(
-                [task], jobs=1, on_error="capture", cache=self.cache,
-                supervisor=self.supervisor, tracer=self.tracer,
-            )
-            self.report.executed += sub.executed
-            self.report.cache_hits += sub.cache_hits
-            self.report.deferred += sub.deferred
-            result, failure = pairs[0]
-        else:
-            # max_retries=0: a figure presents specific seeds, so a
-            # failing cell must fail loudly rather than be silently
-            # retried on a bumped seed (sweeps may choose otherwise).
-            (result, failure), = execute_tasks(
-                [task], jobs=1, on_error="capture", max_retries=0,
-                cache=self.cache, tracer=self.tracer,
-            )
-            if result is not None:
-                self.report.executed += 1
-        if result is None:
-            raise self._cell_error(label, failure)
-        return result
+    def run_cell(self, label: str, experiment):
+        """Produce one cell (see :meth:`run_cells`)."""
+        return self.run_cells([SweepTask(label, experiment)])[0]
 
     def _cell_error(self, label: str, failure) -> FigureGenerationError:
-        if failure is None:
-            return FigureGenerationError(
-                f"figure {self.figure} cell {label!r} produced no result "
-                f"and no failure report",
-                figure=self.figure, label=label,
-            )
         where = []
         if failure.sim_time is not None:
             where.append(f"t={failure.sim_time:.6f}s")
@@ -267,81 +147,8 @@ class FigureRunner:
             component=failure.component,
         )
 
-    # -- journal ---------------------------------------------------------
-    def _journal_append(self, key: Optional[str], label: str, result) -> None:
-        if self.journal is None or key is None:
-            return
-        started = time.monotonic()
-        self.journal.append(key, label, result)
-        self.report.journal_appends += 1
-        if self._emit is not None:
-            self._emit("harness", "journal_append", 0.0, {
-                "label": label,
-                "seconds": time.monotonic() - started,
-            })
 
-    def _journal_state(self, key: Optional[str]) -> str:
-        return "append" if (self.journal is not None and key is not None) \
-            else "miss"
-
-    def _emit_cell(self, label: str, journal_state: str) -> None:
-        """One ``figure_cell`` span per cell, carrying journal hit/miss."""
-        if self._emit is not None:
-            self._emit("harness", "figure_cell", 0.0, {
-                "figure": self.figure,
-                "label": label,
-                "journal": journal_state,
-            })
-
-    # -- sweep-backed figures (fig15/fig19) ------------------------------
-    def sweep_kwargs(self) -> dict:
-        """Forward this runner's execution context to the sweep APIs."""
-        kwargs: dict = dict(jobs=self.jobs, cache=self.cache,
-                            tracer=self.tracer)
-        if self.journal is not None:
-            kwargs["journal"] = self.journal
-            kwargs["resume"] = self.resume
-        if self.supervisor is not None:
-            kwargs["supervisor"] = self.supervisor
-        return kwargs
-
-    def absorb(self, outcome) -> None:
-        """Fold a sweep's ``recovery`` report into this figure's report."""
-        recovery = getattr(outcome, "recovery", None)
-        if recovery is None:
-            return
-        self.report.executed += recovery.executed
-        self.report.replayed += recovery.replayed
-        self.report.cache_hits += recovery.cache_hits
-        self.report.journal_appends += recovery.journal_appends
-        self.report.deferred += recovery.deferred
-        self.report.torn_journal = (
-            self.report.torn_journal or recovery.torn_journal
-        )
-
-    def finish(self) -> None:
-        """Final accounting: journal compactions + one ``figure_done`` span."""
-        if self.journal is not None:
-            self.report.compactions = self.journal.compactions
-        if self._emit is not None:
-            self._emit("harness", "figure_done", 0.0, {
-                "figure": self.figure,
-                "executed": self.report.executed,
-                "replayed": self.report.replayed,
-                "journal_appends": self.report.journal_appends,
-            })
-
-
-def _ensure_runner(figure: str, runner, jobs, cache, tracer) -> FigureRunner:
-    """Figure functions accept a full runner (from :func:`generate_figure`)
-    or the legacy ``jobs``/``cache``/``tracer`` trio (direct calls)."""
-    if runner is not None:
-        return runner
-    return FigureRunner(figure, jobs=jobs, cache=cache, tracer=tracer)
-
-
-def fig04(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig04(scale: float = 1.0, policy: RunPolicy = RunPolicy()) -> FigureData:
     """Bode gain margins for PI on Reno: auto vs fixed tunes."""
     rows = []
     for p in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 0.5, 1.0):
@@ -359,8 +166,7 @@ def fig04(scale: float = 1.0, jobs=None, cache=None, tracer=None,
     )
 
 
-def fig05(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig05(scale: float = 1.0, policy: RunPolicy = RunPolicy()) -> FigureData:
     """PIE's stepped tune factor vs the analytic √(2p)."""
     rows = [(p, t, s) for p, t, s in tune_table_rows(points_per_decade=2)]
     return FigureData(
@@ -369,8 +175,7 @@ def fig05(scale: float = 1.0, jobs=None, cache=None, tracer=None,
     )
 
 
-def fig07(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig07(scale: float = 1.0, policy: RunPolicy = RunPolicy()) -> FigureData:
     """Bode margins for reno-PIE / reno-PI2 / scal-PI."""
     rows = []
     for pp in (0.001, 0.01, 0.1, 0.3, 0.6, 1.0):
@@ -424,182 +229,195 @@ def _stage_rows(results, stage, flows):
     return rows
 
 
-def fig06(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig06(scale: float = 1.0, policy: RunPolicy = RunPolicy()) -> FigureData:
     """Un-tuned PI vs PI2 under varying intensity at 100 Mb/s, 10 ms."""
-    runner = _ensure_runner("fig06", runner, jobs, cache, tracer)
     stage = 8.0 * scale
     _require_min_stage("fig06", stage, scale)
-    results = {}
+    tasks = []
     for name, factory in (("pi", pi_factory()), ("pi2", pi2_factory())):
         exp = varying_intensity(factory, capacity_bps=100 * MBPS, rtt=0.010,
                                 stage=stage)
         exp.sample_period = 0.1
-        results[name] = runner.run_cell(name, exp)
+        tasks.append(SweepTask(name, exp))
+    runner = FigureRunner("fig06", policy)
+    results = dict(zip(("pi", "pi2"), runner.run_cells(tasks)))
     return FigureData(
         "Figure 6", ["aqm", "stage", "q mean [ms]", "q peak [ms]"],
         _stage_rows(results, stage, [10, 30, 50, 30, 10]),
         "paper shape: un-tuned PI oscillates at low load; PI2 holds 20 ms",
+        runner.report,
     )
 
 
-def fig11(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig11(scale: float = 1.0, policy: RunPolicy = RunPolicy()) -> FigureData:
     """Queue delay and throughput under three traffic loads."""
-    runner = _ensure_runner("fig11", runner, jobs, cache, tracer)
     duration = 30.0 * scale
-    rows = []
     scenarios = {
         "5 TCP": light_tcp, "50 TCP": heavy_tcp, "5 TCP + 2 UDP": tcp_plus_udp,
     }
-    for label, scenario in scenarios.items():
-        for name, factory in (("pie", pie_factory()), ("pi2", pi2_factory())):
-            r = runner.run_cell(
-                f"{label}/{name}", scenario(factory, duration=duration)
-            )
-            soj = r.sojourn_samples()
-            rows.append(
-                (label, name, float(np.mean(soj)) * 1e3,
-                 float(np.percentile(soj, 99)) * 1e3,
-                 r.mean_utilization() * 100)
-            )
+    cells = [
+        (label, name, scenario(factory, duration=duration))
+        for label, scenario in scenarios.items()
+        for name, factory in (("pie", pie_factory()), ("pi2", pi2_factory()))
+    ]
+    runner = FigureRunner("fig11", policy)
+    results = runner.run_cells(
+        [SweepTask(f"{label}/{name}", exp) for label, name, exp in cells]
+    )
+    rows = []
+    for (label, name, _exp), r in zip(cells, results):
+        soj = r.sojourn_samples()
+        rows.append(
+            (label, name, float(np.mean(soj)) * 1e3,
+             float(np.percentile(soj, 99)) * 1e3,
+             r.mean_utilization() * 100)
+        )
     return FigureData(
         "Figure 11", ["scenario", "aqm", "q mean [ms]", "q p99 [ms]", "util [%]"],
         rows, "paper shape: both hold ~20 ms at full utilization",
+        runner.report,
     )
 
 
-def fig12(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig12(scale: float = 1.0, policy: RunPolicy = RunPolicy()) -> FigureData:
     """Queue delay through capacity steps 100:20:100 Mb/s."""
-    runner = _ensure_runner("fig12", runner, jobs, cache, tracer)
     stage = 15.0 * scale
     # The transient windows around each capacity step settle for 5 s at
     # paper scale (stage = 15 s); shrink them with the stage so short
     # runs keep non-empty windows (stage/3 == 5 s exactly at scale 1).
     settle = min(5.0, stage / 3.0)
-    rows = []
+    tasks = []
     for name, factory in (("pie", pie_factory()), ("pi2", pi2_factory())):
         exp = varying_capacity(factory, stage=stage)
         exp.sample_period = 0.1
-        r = runner.run_cell(name, exp)
-        rows.append(
-            (name,
-             r.queue_delay.max(stage, stage + settle) * 1e3,
-             r.queue_delay.mean(stage + settle, 2 * stage) * 1e3,
-             r.queue_delay.max(2 * stage, 2 * stage + settle) * 1e3)
-        )
+        tasks.append(SweepTask(name, exp))
+    runner = FigureRunner("fig12", policy)
+    rows = [
+        (task.label,
+         r.queue_delay.max(stage, stage + settle) * 1e3,
+         r.queue_delay.mean(stage + settle, 2 * stage) * 1e3,
+         r.queue_delay.max(2 * stage, 2 * stage + settle) * 1e3)
+        for task, r in zip(tasks, runner.run_cells(tasks))
+    ]
     return FigureData(
         "Figure 12", ["aqm", "peak@drop [ms]", "mean@20M [ms]", "peak@rise [ms]"],
         rows, "paper: 510 ms (PIE) vs 250 ms (PI2) at the drop",
+        runner.report,
     )
 
 
-def fig13(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig13(scale: float = 1.0, policy: RunPolicy = RunPolicy()) -> FigureData:
     """Varying intensity at 10 Mb/s, 100 ms RTT: PIE vs PI2."""
-    runner = _ensure_runner("fig13", runner, jobs, cache, tracer)
     stage = 12.0 * scale
     _require_min_stage("fig13", stage, scale)
-    results = {}
+    tasks = []
     for name, factory in (("pie", pie_factory()), ("pi2", pi2_factory())):
         exp = varying_intensity(factory, capacity_bps=10 * MBPS, rtt=0.100,
                                 stage=stage)
         exp.sample_period = 0.1
-        results[name] = runner.run_cell(name, exp)
+        tasks.append(SweepTask(name, exp))
+    runner = FigureRunner("fig13", policy)
+    results = dict(zip(("pie", "pi2"), runner.run_cells(tasks)))
     return FigureData(
         "Figure 13", ["aqm", "stage", "q mean [ms]", "q peak [ms]"],
         _stage_rows(results, stage, [10, 30, 50, 30, 10]),
         "paper shape: PI2 reduces overshoot at load changes",
+        runner.report,
     )
 
 
-def fig19(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig19(scale: float = 1.0, policy: RunPolicy = RunPolicy()) -> FigureData:
     """Rate balance across flow-count mixes at 40 Mb/s, 10 ms."""
-    runner = _ensure_runner("fig19", runner, jobs, cache, tracer)
     duration = 25.0 * scale
     mixes = ((1, 1), (1, 9), (5, 5), (9, 1))
-    rows = []
-    for name, factory in (("pie", pie_factory()), ("pi2", coupled_factory())):
-        sweeps = run_mix_sweep(factory, mixes=mixes, duration=duration,
-                               warmup=min(10.0, duration / 2),
-                               **runner.sweep_kwargs())
-        runner.absorb(sweeps)
-        for (n_a, n_b), result in sweeps.items():
-            rows.append(
-                (name, f"A{n_a}-B{n_b}", result.balance("dctcp", "cubic"))
-            )
+    cells = [
+        (name, mix, task)
+        for name, factory in (("pie", pie_factory()), ("pi2", coupled_factory()))
+        for mix, task in mix_cells(factory, mixes=mixes, duration=duration,
+                                   warmup=min(10.0, duration / 2))
+    ]
+    runner = FigureRunner("fig19", policy)
+    results = runner.run_cells(
+        [SweepTask(f"{name}/{task.label}", task.experiment)
+         for name, _mix, task in cells]
+    )
+    rows = [
+        (name, f"A{n_a}-B{n_b}", result.balance("dctcp", "cubic"))
+        for (name, (n_a, n_b), _task), result in zip(cells, results)
+    ]
     return FigureData(
         "Figure 19", ["aqm", "mix (A=dctcp B=cubic)", "DCTCP/Cubic ratio"],
         rows, "paper shape: PIE ~10 for every mix, PI2 ≈ 1",
+        runner.report,
     )
 
 
-def fig14(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig14(scale: float = 1.0, policy: RunPolicy = RunPolicy()) -> FigureData:
     """Queue-delay distribution summary at 5 ms and 20 ms targets."""
     from repro.harness.experiment import Experiment, FlowGroup
 
-    runner = _ensure_runner("fig14", runner, jobs, cache, tracer)
     duration = 25.0 * scale
+    cells = [
+        (target, name, Experiment(
+            capacity_bps=10 * MBPS,
+            duration=duration,
+            warmup=min(10.0, duration / 3),
+            aqm_factory=make(target_delay=target),
+            flows=[FlowGroup(cc="reno", count=20, rtt=0.100)],
+        ))
+        for target in (0.005, 0.020)
+        for name, make in (("pie", pie_factory), ("pi2", pi2_factory))
+    ]
+    runner = FigureRunner("fig14", policy)
+    results = runner.run_cells(
+        [SweepTask(f"{name}@{target * 1e3:.0f}ms", exp)
+         for target, name, exp in cells]
+    )
     rows = []
-    for target in (0.005, 0.020):
-        for name, make in (
-            ("pie", lambda t: pie_factory(target_delay=t)),
-            ("pi2", lambda t: pi2_factory(target_delay=t)),
-        ):
-            r = runner.run_cell(
-                f"{name}@{target * 1e3:.0f}ms",
-                Experiment(
-                    capacity_bps=10 * MBPS,
-                    duration=duration,
-                    warmup=min(10.0, duration / 3),
-                    aqm_factory=make(target),
-                    flows=[FlowGroup(cc="reno", count=20, rtt=0.100)],
-                ),
-            )
-            soj = r.sojourn_samples()
-            rows.append(
-                (f"{target * 1e3:.0f} ms", name,
-                 float(np.percentile(soj, 50)) * 1e3,
-                 float(np.percentile(soj, 90)) * 1e3,
-                 float(np.percentile(soj, 99)) * 1e3)
-            )
+    for (target, name, _exp), r in zip(cells, results):
+        soj = r.sojourn_samples()
+        rows.append(
+            (f"{target * 1e3:.0f} ms", name,
+             float(np.percentile(soj, 50)) * 1e3,
+             float(np.percentile(soj, 90)) * 1e3,
+             float(np.percentile(soj, 99)) * 1e3)
+        )
     return FigureData(
         "Figure 14", ["target", "aqm", "p50 [ms]", "p90 [ms]", "p99 [ms]"],
         rows, "paper shape: PI2's CDF ≈ PIE's at both targets (20-TCP panel)",
+        runner.report,
     )
 
 
-def fig15(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig15(scale: float = 1.0, policy: RunPolicy = RunPolicy()) -> FigureData:
     """Rate balance on a reduced 3×3 coexistence grid.
 
     The full 5×5 grid with per-cell convergence budgeting lives in the
     benchmark suite; this CLI-friendly version covers the corner points.
     """
-    from repro.harness.sweep import run_coexistence_grid
-
-    runner = _ensure_runner("fig15", runner, jobs, cache, tracer)
     duration = 20.0 * scale
-    rows = []
-    for name, factory in (("pie", pie_factory()), ("pi2", coupled_factory())):
-        cells = run_coexistence_grid(
+    cells = [
+        (name, link, rtt, task)
+        for name, factory in (("pie", pie_factory()), ("pi2", coupled_factory()))
+        for link, rtt, task in grid_cells(
             factory, links_mbps=(4, 40), rtts_ms=(10, 50),
             duration=duration, warmup=min(8.0, duration / 2),
-            **runner.sweep_kwargs(),
         )
-        runner.absorb(cells)
-        for cell in cells:
-            rows.append(
-                (name, cell.link_mbps, cell.rtt_ms,
-                 cell.balance("cubic", "dctcp"))
-            )
+    ]
+    runner = FigureRunner("fig15", policy)
+    results = runner.run_cells(
+        [SweepTask(f"{name}/{task.label}", task.experiment)
+         for name, _link, _rtt, task in cells]
+    )
+    rows = [
+        (name, link, rtt, result.balance("cubic", "dctcp"))
+        for (name, link, rtt, _task), result in zip(cells, results)
+    ]
     return FigureData(
         "Figure 15 (reduced grid)",
         ["aqm", "link [Mb/s]", "RTT [ms]", "Cubic/DCTCP ratio"],
         rows, "paper shape: ≈0.1 under PIE (starvation), ≈1 under PI2",
+        runner.report,
     )
 
 
@@ -618,74 +436,36 @@ FIGURES: Dict[str, Callable[..., FigureData]] = {
 }
 
 
-def _resolve_journal(journal, name: str, compact_every: Optional[int]):
-    """Resolve the ``journal`` argument into (ResultJournal|None, owned).
-
-    A path names a *directory* holding one journal per figure
-    (``<dir>/<name>.journal``) so a fleet can share one ``--journal``
-    flag across figures; a ready-made
-    :class:`~repro.harness.journal.ResultJournal` is used as-is (and not
-    closed — the caller owns it).
-    """
-    from repro.harness.journal import ResultJournal
-
-    if journal is None:
-        return None, False
-    if isinstance(journal, ResultJournal):
-        return journal, False
-    from pathlib import Path
-
-    root = Path(journal)
-    root.mkdir(parents=True, exist_ok=True)
-    return (
-        ResultJournal(root / f"{name}.journal", compact_every=compact_every),
-        True,
-    )
-
-
 def generate_figure(
-    name: str, scale: float = 1.0, jobs=None, cache=None, tracer=None,
-    journal=None, resume: bool = False, supervisor=None,
-    compact_every: Optional[int] = None,
+    name: str, scale: float = 1.0, policy: RunPolicy = RunPolicy(),
 ) -> FigureData:
     """Generate one figure's data by registry name.
 
-    ``jobs`` parallelises grid/mix-based figures over a process pool;
-    ``cache`` (a :class:`~repro.harness.cache.ResultCache`) reuses
-    already-simulated runs across invocations.  ``tracer`` (a
-    :class:`~repro.obs.trace.Tracer`) observes the simulation-backed
-    figures — control-law events, engine epochs, harness spans including
-    per-cell ``figure_cell`` events carrying journal hit/miss — and is
-    guaranteed not to change any number in the returned rows.
+    ``policy`` (a :class:`~repro.harness.parallel.RunPolicy`) says how
+    the simulation cells run: ``jobs`` fans them out over a process
+    pool, ``cache`` reuses already-simulated runs across invocations,
+    ``journal`` makes every completed cell durable as it finishes and
+    ``resume=True`` replays journaled cells instead of re-simulating, so
+    a figure run killed mid-way and resumed returns rows bit-identical to
+    an uninterrupted run; ``supervisor`` runs each cell in a watchdogged
+    worker process.  ``tracer`` observes the cells — control-law events,
+    engine epochs and harness spans, ending with one ``figure_done`` —
+    without changing any number in the returned rows.  The returned data
+    carries the run's :class:`~repro.harness.parallel.RunReport` as
+    ``report``.
 
-    ``journal`` (a directory path or a
-    :class:`~repro.harness.journal.ResultJournal`) makes every completed
-    simulation cell durable as it finishes (one journal per figure name
-    under a directory); ``resume=True`` replays journaled cells instead
-    of re-simulating, so a figure run killed mid-sweep and resumed
-    returns rows bit-identical to an uninterrupted run.
-    ``supervisor`` (a :class:`~repro.harness.supervisor.SupervisorConfig`)
-    runs each cell in a watchdogged worker process with per-task
-    timeouts and heartbeat monitoring.  ``compact_every=N`` rewrites the
-    journal (latest record per key) after every N appends.  The returned
-    data carries a :class:`FigureRunReport` as ``report``.
-
-    Figures that are pure analysis (fig04/05/07) ignore all of these.
+    Figures that are pure analysis (fig04/05/07) ignore the policy.
     """
     if name not in FIGURES:
         raise ValueError(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
     if scale <= 0:
         raise ValueError(f"scale must be positive (got {scale})")
-    journal_obj, owned = _resolve_journal(journal, name, compact_every)
-    runner = FigureRunner(
-        name, jobs=jobs, cache=cache, tracer=tracer,
-        journal=journal_obj, resume=resume, supervisor=supervisor,
-    )
-    try:
-        data = FIGURES[name](scale=scale, runner=runner)
-        runner.finish()
-    finally:
-        if owned and journal_obj is not None:
-            journal_obj.close()
-    data.report = runner.report
+    data = FIGURES[name](scale=scale, policy=policy)
+    if policy.tracer is not None:
+        policy.tracer.emit("harness", "figure_done", 0.0, {
+            "figure": name,
+            "executed": data.report.executed,
+            "replayed": data.report.replayed,
+            "journal_appends": data.report.journal_appends,
+        })
     return data

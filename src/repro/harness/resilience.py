@@ -140,12 +140,14 @@ def run_with_retries(
     experiment: Experiment,
     label: str,
     max_retries: int = 1,
+    tracer: Optional[object] = None,
 ) -> Tuple[Optional[ExperimentResult], Optional[RunFailure]]:
     """Run ``experiment``, retrying with bumped seeds on failure.
 
     Returns ``(result, None)`` on success and ``(None, failure)`` once
     the original seed plus ``max_retries`` bumped seeds have all failed.
-    ``KeyboardInterrupt``/``SystemExit`` are never swallowed.
+    ``tracer`` observes every attempt.  ``KeyboardInterrupt``/
+    ``SystemExit`` are never swallowed.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries cannot be negative (got {max_retries})")
@@ -156,7 +158,9 @@ def run_with_retries(
     last_error: Optional[BaseException] = None
     for seed in seeds:
         try:
-            return run_experiment(replace(experiment, seed=seed)), None
+            return run_experiment(
+                replace(experiment, seed=seed), tracer=tracer
+            ), None
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:

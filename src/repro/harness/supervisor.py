@@ -23,42 +23,39 @@ roadmap plugs in at this same seam:
 * **graceful degradation to serial execution** after repeated pool
   failures — if workers cannot even be spawned, the sweep finishes
   in-process rather than dying;
-* every recovery action is recorded (:class:`SupervisorReport`) through
-  the same report machinery as :mod:`repro.harness.resilience`, and
-  terminal failures carry the full :class:`~repro.harness.resilience.Attempt`
-  history and worker identity.
+* every recovery action is recorded on the run's
+  :class:`~repro.harness.parallel.RunReport` through the same report
+  machinery as :mod:`repro.harness.resilience`, and terminal failures
+  carry the full :class:`~repro.harness.resilience.Attempt` history and
+  worker identity.
 
-Combined with the write-ahead journal (:mod:`repro.harness.journal`),
-this makes sweeps resumable: completed cells are fsync'd as they finish,
-and ``resume=True`` replays them instead of re-simulating.  The ordering
-and seeding contract of :func:`execute_tasks` is preserved exactly, so a
-fixed seed gives bit-identical outcomes serial, pooled, supervised,
-interrupted-and-resumed, or degraded.
+This backend only executes.  :func:`~repro.harness.parallel.run_tasks`
+picks it when the :class:`~repro.harness.parallel.RunPolicy` carries a
+:class:`SupervisorConfig`; run_tasks alone replays the result journal,
+consults the cache, and stores and journals each cell this backend
+settles.  The ordering and seeding contract is the pool backend's
+exactly, so a fixed seed gives bit-identical outcomes serial, pooled,
+supervised, interrupted-and-resumed, or degraded.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing import connection
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ConfigError, ParallelExecutionError, SupervisorError
-from repro.harness.cache import (
-    ResultCache,
-    SharedResultCache,
-    experiment_cache_key,
-)
+from repro.errors import ConfigError
+from repro.harness.cache import SharedResultCache
 from repro.harness.frozen import freeze_result
-from repro.harness.journal import ResultJournal
 from repro.harness.parallel import (
+    RunPolicy,
+    RunReport,
+    Settle,
     SweepTask,
-    TaskResult,
     _check_picklable,
     _start_method,
-    resolve_jobs,
 )
 from repro.harness.resilience import (
     RETRY_SEED_STRIDE,
@@ -69,9 +66,7 @@ from repro.harness.resilience import (
 
 __all__ = [
     "SupervisorConfig",
-    "SupervisorReport",
     "execute_supervised",
-    "run_supervised_tasks",
 ]
 
 #: Scheduler poll period: how often timeouts/heartbeats are re-checked.
@@ -88,8 +83,8 @@ class SupervisorConfig:
     ``heartbeat_timeout`` is set (a process can be alive but frozen —
     e.g. SIGSTOP — which a timeout alone would catch much later).
 
-    ``max_retries`` bounds seed-bump retries after simulation exceptions
-    (the policy previously inlined in the grid/mix/repeat sweeps);
+    Seed-bump retries after simulation exceptions are bounded by the
+    run policy's ``max_retries``, as on every other backend;
     ``max_task_failures`` bounds same-seed retries after process-level
     failures, with exponential backoff ``backoff_base *
     backoff_factor**n`` capped at ``backoff_max``.  After
@@ -100,7 +95,6 @@ class SupervisorConfig:
     task_timeout: Optional[float] = None
     heartbeat_interval: float = 0.5
     heartbeat_timeout: Optional[float] = None
-    max_retries: int = 1
     max_task_failures: int = 2
     backoff_base: float = 0.25
     backoff_factor: float = 2.0
@@ -121,8 +115,6 @@ class SupervisorConfig:
                 f"heartbeat_timeout must be positive or None "
                 f"(got {self.heartbeat_timeout})"
             )
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries cannot be negative (got {self.max_retries})")
         if self.max_task_failures < 0:
             raise ConfigError(
                 f"max_task_failures cannot be negative (got {self.max_task_failures})"
@@ -135,64 +127,6 @@ class SupervisorConfig:
             raise ConfigError(
                 f"max_pool_failures must be at least 1 (got {self.max_pool_failures})"
             )
-
-
-@dataclass
-class SupervisorReport:
-    """What one supervised run did beyond simply executing its tasks.
-
-    ``actions`` is the recovery log (kills, retries, seed bumps,
-    degradation), ``replayed`` counts cells filled from the journal,
-    ``cache_hits`` cells filled from the result cache, ``executed``
-    cells actually simulated, and ``journal_appends`` records durably
-    written.  ``heartbeats`` counts heartbeat messages observed — proof
-    the liveness channel was active during the run.  ``deferred`` counts
-    spawn decisions that skipped past a cell another process held in
-    flight in the shared cache (shared-cache-aware scheduling).
-    """
-
-    actions: List[RecoveryAction] = field(default_factory=list)
-    degraded: bool = False
-    torn_journal: bool = False
-    replayed: int = 0
-    cache_hits: int = 0
-    executed: int = 0
-    journal_appends: int = 0
-    heartbeats: int = 0
-    deferred: int = 0
-
-    def record(self, action: RecoveryAction) -> None:
-        """Append one recovery action to the log."""
-        self.actions.append(action)
-
-    def register_metrics(self, registry) -> None:
-        """Register the run's counters under the ``supervisor.`` prefix.
-
-        ``registry`` is a :class:`repro.obs.metrics.MetricsRegistry`;
-        the provider is read at snapshot time, so register after (or
-        during) the run and snapshot once it finishes.
-        """
-        registry.register_provider("supervisor", self._metrics_snapshot)
-
-    def _metrics_snapshot(self) -> dict:
-        """Flat metric values mirroring the report's counters."""
-        return {
-            "actions": len(self.actions),
-            "degraded": int(self.degraded),
-            "torn_journal": int(self.torn_journal),
-            "replayed": self.replayed,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "journal_appends": self.journal_appends,
-            "heartbeats": self.heartbeats,
-            "deferred": self.deferred,
-        }
-
-    def format_actions(self) -> str:
-        """Human-readable recovery log (see ``format_recovery_report``)."""
-        from repro.harness.resilience import format_recovery_report
-
-        return format_recovery_report(self.actions)
 
 
 def _supervised_worker(conn, experiment, heartbeat_interval: float) -> None:
@@ -325,76 +259,31 @@ class _Worker:
 
 
 class _Supervisor:
-    """The scheduler: slots, deadlines, retries, journal, degradation."""
+    """The scheduler: slots, deadlines, retries, degradation."""
 
-    def __init__(self, tasks, jobs, on_error, config, cache, journal, report,
-                 tracer=None):
+    def __init__(self, tasks, pending, keys, policy: RunPolicy,
+                 report: RunReport, settle: Settle):
         self.tasks = list(tasks)
-        self.n_jobs = resolve_jobs(jobs)
-        self.on_error = on_error
-        self.config = config
-        self.cache = cache
-        self.journal = journal
+        self.keys = keys
+        self.n_jobs = policy.workers
+        self.on_error = policy.on_error
+        self.max_retries = policy.max_retries
+        self.config = policy.supervisor
+        self.cache = policy.cache
         self.report = report
+        self.settle = settle
         #: Fire-and-forget span sink (None = tracing off).  The
         #: supervisor only ever *emits* into it; no tracer output feeds
         #: scheduling decisions (the OBS static-analysis contract).
-        self.emit = tracer.emit if tracer is not None else None
-        self.out: List[Optional[TaskResult]] = [None] * len(self.tasks)
-        self.keys: List[Optional[str]] = [None] * len(self.tasks)
-        self.queue: List[_TaskState] = []
+        self.emit = policy.tracer.emit if policy.tracer is not None else None
+        self.queue: List[_TaskState] = [
+            _TaskState(index, self.tasks[index]) for index in pending
+        ]
         self.running: Dict[object, _Worker] = {}
         self.pool_failures = 0
-        self.replayed_indices: set = set()
-
-    # -- set-up ----------------------------------------------------------
-    def prefill(self, resume: bool) -> None:
-        """Fill slots from the journal (resume) and the result cache."""
-        need_keys = self.cache is not None or self.journal is not None
-        if need_keys:
-            for index, task in enumerate(self.tasks):
-                self.keys[index] = experiment_cache_key(task.experiment)
-        replay = {}
-        if resume and self.journal is not None:
-            journal_replay = self.journal.read()
-            replay = journal_replay.replay_map()
-            self.report.torn_journal = journal_replay.torn
-        for index, task in enumerate(self.tasks):
-            key = self.keys[index]
-            if key is not None and key in replay:
-                self.out[index] = (replay[key], None)
-                self.replayed_indices.add(index)
-                self.report.replayed += 1
-                continue
-            if self.cache is not None and key is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    self.out[index] = (hit, None)
-                    self.report.cache_hits += 1
-                    if self.emit is not None:
-                        self.emit("harness", "cache_hit", 0.0,
-                                  {"label": task.label})
-                    self._journal_append(index, hit)
-                    continue
-            self.queue.append(_TaskState(index, task))
 
     # -- completion paths ------------------------------------------------
-    def _journal_append(self, index: int, result) -> None:
-        key = self.keys[index]
-        if self.journal is None or key is None:
-            return
-        started = time.monotonic()
-        self.journal.append(key, self.tasks[index].label, result)
-        self.report.journal_appends += 1
-        if self.emit is not None:
-            self.emit("harness", "journal_append", 0.0, {
-                "label": self.tasks[index].label,
-                "seconds": time.monotonic() - started,
-            })
-
     def _finish_success(self, state: _TaskState, result) -> None:
-        self.out[state.index] = (result, None)
-        self.report.executed += 1
         if self.emit is not None:
             self.emit("harness", "task_done", 0.0, {
                 "label": state.task.label,
@@ -411,10 +300,7 @@ class _Supervisor:
                            f"(seed {state.seed})",
                 )
             )
-        key = self.keys[state.index]
-        if self.cache is not None and key is not None:
-            self.cache.put(key, result)
-        self._journal_append(state.index, result)
+        self.settle(state.index, (result, None))
 
     def _finish_failure(self, state: _TaskState, error_type: str, error: str,
                         sim_time=None, component=None, worker=None) -> None:
@@ -425,7 +311,7 @@ class _Supervisor:
                 "error_type": error_type,
                 "sim_time": sim_time,
             })
-        self.out[state.index] = (
+        self.settle(state.index, (
             None,
             RunFailure(
                 label=state.task.label,
@@ -437,7 +323,7 @@ class _Supervisor:
                 attempts=tuple(state.attempts),
                 worker=worker,
             ),
-        )
+        ))
 
     # -- retry policy (the one place deciding what failure costs) --------
     def _attempt_failed(self, state: _TaskState, kind: str, error_type: str,
@@ -446,7 +332,7 @@ class _Supervisor:
         """Record one failed attempt and either requeue or finalise."""
         now = time.monotonic()
         if kind == "exception":
-            retry = self.on_error == "capture" and state.bumps < self.config.max_retries
+            retry = self.on_error == "capture" and state.bumps < self.max_retries
             backoff = 0.0
         else:
             retry = state.proc_failures < self.config.max_task_failures
@@ -477,7 +363,7 @@ class _Supervisor:
                 state.task.experiment.seed + state.bumps * RETRY_SEED_STRIDE
             )
             detail = (
-                f"seed-bump retry {state.bumps}/{self.config.max_retries} "
+                f"seed-bump retry {state.bumps}/{self.max_retries} "
                 f"(seed {state.seed}) after {error_type}"
             )
         else:
@@ -516,9 +402,7 @@ class _Supervisor:
             if key is not None:
                 hit = self.cache.get(key)
                 if hit is not None:
-                    self.out[state.index] = (hit, None)
-                    self.report.cache_hits += 1
-                    self._journal_append(state.index, hit)
+                    self.settle(state.index, (hit, None), cached=True)
                     return True
         try:
             worker = _start_worker(ctx, state, self.config)
@@ -688,8 +572,8 @@ class _Supervisor:
         return fallback
 
     # -- main loop -------------------------------------------------------
-    def run(self) -> List[TaskResult]:
-        """Execute every pending task; fill and return the result slots."""
+    def run(self) -> None:
+        """Execute every queued task, settling each as it finishes."""
         ctx = multiprocessing.get_context(_start_method())
         try:
             while self.queue or self.running:
@@ -721,9 +605,6 @@ class _Supervisor:
             for worker in list(self.running.values()):
                 worker.kill()
             self.running.clear()
-        if any(slot is None for slot in self.out):  # pragma: no cover
-            raise SupervisorError("supervisor finished with unfilled task slots")
-        return self.out  # type: ignore[return-value]
 
 
 #: RunFailure.error_type used for each process-level failure kind.
@@ -736,110 +617,26 @@ _PROCESS_ERROR_TYPES = {
 
 def execute_supervised(
     tasks: Sequence[SweepTask],
-    *,
-    jobs: Optional[int] = None,
-    on_error: str = "raise",
-    config: Optional[SupervisorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    journal: Optional[Union[ResultJournal, str, os.PathLike]] = None,
-    resume: bool = False,
-    report: Optional[SupervisorReport] = None,
-    tracer: Optional[object] = None,
-) -> List[TaskResult]:
-    """Run every task under supervision; same contract as ``execute_tasks``.
+    pending: List[int],
+    keys: List[Optional[str]],
+    policy: RunPolicy,
+    report: RunReport,
+    settle: Settle,
+) -> None:
+    """Supervised backend: run ``tasks[i]`` for each pending ``i``.
 
-    Returns one ``(frozen_result, failure)`` pair per task in task order.
-    ``journal`` (a :class:`~repro.harness.journal.ResultJournal` or a
-    path) makes every completed cell durable as it finishes; with
-    ``resume=True`` cells already journaled under the same config + code
-    fingerprint are replayed instead of re-executed.  ``report`` (when
-    provided) is filled with the run's recovery log and counters.
+    Each attempt runs in its own watchdogged worker process under
+    ``policy.supervisor``; every task is settled (result or terminal
+    failure) as it finishes, and ``report`` receives the recovery log,
+    heartbeat count and shared-cache deferrals.  With
+    ``on_error="raise"`` a failing task is not seed-bumped.
 
-    With ``on_error="raise"`` the sweep still runs to completion — so the
-    journal captures every cell that *can* finish — and then the first
-    failure in task order raises
-    :class:`~repro.errors.ParallelExecutionError`, exactly like the pool
-    executor; ``"capture"`` returns failures in their slots.
-
-    ``tracer`` (a :class:`~repro.obs.trace.Tracer`) receives the
-    supervision lifecycle as ``harness`` spans — ``task_start`` per
-    spawned attempt (seed + worker identity), ``task_retry`` per
-    recovery decision (failure kind, sim-time when known, backoff
-    seconds), ``cache_hit``, ``journal_append`` (wall seconds), and
-    ``task_done``.  Purely observational: recovery decisions, ordering
-    and results are identical with tracing on or off.
+    ``policy.tracer`` receives the supervision lifecycle as ``harness``
+    spans — ``task_start`` per spawned attempt (seed + worker identity),
+    ``task_retry`` per recovery decision (failure kind, sim-time when
+    known, backoff seconds) and ``task_done``.  Purely observational:
+    recovery decisions, ordering and results are identical with tracing
+    on or off.
     """
-    if on_error not in ("raise", "capture"):
-        raise ValueError(f"on_error must be 'raise' or 'capture' (got {on_error!r})")
-    if resume and journal is None:
-        raise ConfigError("resume=True requires a journal")
-    config = config or SupervisorConfig()
-    report = report if report is not None else SupervisorReport()
-
-    own_journal = journal is not None and not isinstance(journal, ResultJournal)
-    journal_obj = ResultJournal(journal) if own_journal else journal
-
-    supervisor = _Supervisor(
-        tasks, jobs, on_error, config, cache, journal_obj, report,
-        tracer=tracer,
-    )
-    try:
-        supervisor.prefill(resume)
-        if supervisor.queue:
-            _check_picklable([state.task for state in supervisor.queue])
-        out = supervisor.run()
-    finally:
-        if own_journal and journal_obj is not None:
-            journal_obj.close()
-
-    if on_error == "raise":
-        for task_result in out:
-            failure = task_result[1]
-            if failure is not None:
-                raise ParallelExecutionError(
-                    f"sweep cell failed: {failure}",
-                    label=failure.label,
-                    error_type=failure.error_type,
-                    sim_time=failure.sim_time,
-                    component=failure.component,
-                )
-    return out
-
-
-def run_supervised_tasks(
-    tasks: Sequence[SweepTask],
-    *,
-    jobs: Optional[int] = None,
-    on_error: str = "raise",
-    max_retries: int = 1,
-    cache: Optional[ResultCache] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-    journal: Optional[Union[ResultJournal, str, os.PathLike]] = None,
-    resume: bool = False,
-    tracer: Optional[object] = None,
-):
-    """Sweep-runner entry point: execute supervised, return (pairs, report).
-
-    ``supervisor`` (a :class:`SupervisorConfig`) wins over ``max_retries``
-    when both are given; otherwise a default config is built carrying the
-    sweep's ``max_retries`` so supervised and serial sweeps make the same
-    number of seed-bump attempts.
-    """
-    config = (
-        supervisor
-        if supervisor is not None
-        else SupervisorConfig(max_retries=max_retries)
-    )
-    report = SupervisorReport()
-    pairs = execute_supervised(
-        tasks,
-        jobs=jobs,
-        on_error=on_error,
-        config=config,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        report=report,
-        tracer=tracer,
-    )
-    return pairs, report
+    _check_picklable([tasks[i] for i in pending])
+    _Supervisor(tasks, pending, keys, policy, report, settle).run()

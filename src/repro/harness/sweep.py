@@ -12,18 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.cache import ResultCache
 from repro.harness.experiment import AqmFactory, ExperimentResult
-from repro.harness.resilience import (
-    RunFailure,
-    format_failure_report,
-    run_with_retries,
-)
+from repro.harness.parallel import RunPolicy, SweepTask, run_tasks
+from repro.harness.resilience import RunFailure, format_failure_report
 from repro.harness.scenarios import MBPS, coexistence_mix, coexistence_pair
 
 __all__ = [
     "GridCell",
     "GridOutcome",
+    "grid_cells",
+    "mix_cells",
     "PAPER_LINK_MBPS",
     "PAPER_RTTS_MS",
     "PAPER_FLOW_MIXES",
@@ -75,9 +73,9 @@ class GridOutcome(List[GridCell]):
     keeps working), with :attr:`failures` carrying one
     :class:`~repro.harness.resilience.RunFailure` per cell that failed
     every retry.  Failed cells are simply absent from the list.
-    :attr:`recovery` holds the supervised backend's
-    :class:`~repro.harness.supervisor.SupervisorReport` when the sweep
-    ran supervised (None otherwise).
+    :attr:`recovery` holds the run's
+    :class:`~repro.harness.parallel.RunReport` (None on the in-process
+    route, where every cell simply ran).
     """
 
     def __init__(self, cells=(), failures=()):
@@ -95,14 +93,7 @@ class GridOutcome(List[GridCell]):
         return format_failure_report(self.failures)
 
 
-def _execute_supervised_tasks(tasks, **kwargs):
-    """Route a task list through the supervised backend (lazy import)."""
-    from repro.harness.supervisor import run_supervised_tasks
-
-    return run_supervised_tasks(tasks, **kwargs)
-
-
-def run_coexistence_grid(
+def grid_cells(
     aqm_factory: AqmFactory,
     cc_a: str = "dctcp",
     cc_b: str = "cubic",
@@ -112,58 +103,13 @@ def run_coexistence_grid(
     warmup: float = 10.0,
     seed: int = 1,
     duration_for: Optional[Callable[[float, float], float]] = None,
-    on_error: str = "raise",
-    max_retries: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    supervised: bool = False,
-    supervisor=None,
-    journal=None,
-    resume: bool = False,
-    tracer=None,
-) -> GridOutcome:
-    """Run the Figure 15–18 grid; one long-running flow per class per cell.
+) -> List[Tuple[float, float, SweepTask]]:
+    """The Figure 15–18 grid as ``(link_mbps, rtt_ms, task)`` triples.
 
-    ``duration_for(link_mbps, rtt_ms)`` may override the run length per
-    cell — benchmarks use it to keep high-rate cells affordable.
-
-    ``on_error`` selects the failure policy: ``"raise"`` (default)
-    propagates the first cell failure as before; ``"capture"`` retries the
-    cell with seed-bumped reruns (``max_retries`` attempts beyond the
-    first) and, if it still fails, records a structured
-    :class:`~repro.harness.resilience.RunFailure` on the returned
-    outcome's ``failures`` and moves on to the next cell, so a 25-cell
-    sweep never dies on cell 23.
-
-    ``jobs`` fans the cells out over a process pool (``0``/``None``-vs-int
-    semantics per :func:`~repro.harness.parallel.resolve_jobs`; ``None``
-    keeps the serial path) and ``cache`` consults/fills an on-disk result
-    cache.  Either option makes the cells' results come back as
-    :class:`~repro.harness.frozen.FrozenResult` snapshots — same metric
-    API, same numbers, but detached from the live testbed.  Cell seeds and
-    ordering are identical to the serial path, so a fixed seed gives
-    bit-identical outcomes at any ``jobs``.
-
-    ``supervised=True`` (implied by ``supervisor``, ``journal`` or
-    ``resume``) routes execution through the watchdogged backend in
-    :mod:`repro.harness.supervisor`: per-task timeouts, heartbeat
-    monitoring, centralized retry with backoff, and — when ``journal`` (a
-    :class:`~repro.harness.journal.ResultJournal` or path) is given — a
-    crash-safe record of every completed cell.  ``resume=True`` replays
-    journaled cells instead of re-simulating them; an
-    interrupted-then-resumed sweep returns bit-identical results to an
-    uninterrupted one.  The outcome's ``recovery`` attribute carries the
-    backend's :class:`~repro.harness.supervisor.SupervisorReport`.
-
-    ``tracer`` (a :class:`~repro.obs.trace.Tracer`) observes the sweep:
-    harness lifecycle spans from whichever backend runs the cells, plus
-    per-cell AQM/engine events on in-process execution paths.  Tracing
-    never changes results — digests are bit-exact with it on or off.
+    One long-running flow per class per cell; ``duration_for(link_mbps,
+    rtt_ms)`` may override the run length per cell — benchmarks use it
+    to keep high-rate cells affordable.
     """
-    from repro.harness.experiment import run_experiment
-
-    if on_error not in ("raise", "capture"):
-        raise ValueError(f"on_error must be 'raise' or 'capture' (got {on_error!r})")
     cells = []
     for link in links_mbps:
         for rtt in rtts_ms:
@@ -178,49 +124,81 @@ def run_coexistence_grid(
                 warmup=min(warmup, d / 2),
                 seed=seed,
             )
-            cells.append((link, rtt, exp))
+            cells.append(
+                (link, rtt, SweepTask(f"cell link={link}Mb/s rtt={rtt}ms", exp))
+            )
+    return cells
 
+
+def run_coexistence_grid(
+    aqm_factory: AqmFactory,
+    cc_a: str = "dctcp",
+    cc_b: str = "cubic",
+    links_mbps: Sequence[float] = PAPER_LINK_MBPS,
+    rtts_ms: Sequence[float] = PAPER_RTTS_MS,
+    duration: float = 30.0,
+    warmup: float = 10.0,
+    seed: int = 1,
+    duration_for: Optional[Callable[[float, float], float]] = None,
+    policy: RunPolicy = RunPolicy(),
+) -> GridOutcome:
+    """Run the Figure 15–18 grid (cells as in :func:`grid_cells`).
+
+    ``policy`` (a :class:`~repro.harness.parallel.RunPolicy`) says how
+    the cells run.  With ``on_error="capture"`` a failing cell is retried
+    on seed-bumped reruns and, if it still fails, recorded as a
+    :class:`~repro.harness.resilience.RunFailure` on the outcome's
+    ``failures`` while the sweep moves on, so a 25-cell sweep never dies
+    on cell 23.  ``jobs``, a cache, a journal or a supervisor make the
+    cells come back as :class:`~repro.harness.frozen.FrozenResult`
+    snapshots — same metric API, same numbers, detached from the live
+    testbed.  Cell seeds and ordering never depend on the route, so a
+    fixed seed gives bit-identical outcomes serial, pooled, supervised
+    or resumed.
+    """
+    cells = grid_cells(aqm_factory, cc_a, cc_b, links_mbps, rtts_ms,
+                       duration, warmup, seed, duration_for)
+    pairs, report = run_tasks([task for _, _, task in cells], policy)
     outcome = GridOutcome()
-    use_supervised = supervised or supervisor is not None \
-        or journal is not None or resume
-    if use_supervised or cache is not None or (jobs is not None and jobs != 1):
-        from repro.harness.parallel import SweepTask, execute_tasks
-
-        tasks = [
-            SweepTask(f"cell link={link}Mb/s rtt={rtt}ms", exp)
-            for link, rtt, exp in cells
-        ]
-        if use_supervised:
-            pairs, outcome.recovery = _execute_supervised_tasks(
-                tasks, jobs=jobs, on_error=on_error, max_retries=max_retries,
-                cache=cache, supervisor=supervisor, journal=journal,
-                resume=resume, tracer=tracer,
-            )
-        else:
-            pairs = execute_tasks(
-                tasks, jobs=jobs, on_error=on_error,
-                max_retries=max_retries, cache=cache, tracer=tracer,
-            )
-        for (link, rtt, _exp), (result, failure) in zip(cells, pairs):
-            if result is not None:
-                outcome.append(GridCell(link, rtt, result))
-            else:
-                outcome.failures.append(failure)
-        return outcome
-
-    for link, rtt, exp in cells:
-        if on_error == "raise":
-            outcome.append(GridCell(link, rtt, run_experiment(exp, tracer=tracer)))
-            continue
-        result, failure = run_with_retries(
-            exp, label=f"cell link={link}Mb/s rtt={rtt}ms",
-            max_retries=max_retries,
-        )
+    outcome.recovery = None if policy.in_process else report
+    for (link, rtt, _task), (result, failure) in zip(cells, pairs):
         if result is not None:
             outcome.append(GridCell(link, rtt, result))
         else:
             outcome.failures.append(failure)
     return outcome
+
+
+def mix_cells(
+    aqm_factory: AqmFactory,
+    cc_a: str = "dctcp",
+    cc_b: str = "cubic",
+    mixes: Sequence[Tuple[int, int]] = PAPER_FLOW_MIXES,
+    capacity_mbps: float = 40.0,
+    rtt_ms: float = 10.0,
+    duration: float = 30.0,
+    warmup: float = 10.0,
+    seed: int = 1,
+) -> List[Tuple[Tuple[int, int], SweepTask]]:
+    """The Figure 19–20 flow mixes as ``((n_a, n_b), task)`` pairs."""
+    return [
+        ((n_a, n_b), SweepTask(
+            f"mix {cc_a}x{n_a} vs {cc_b}x{n_b}",
+            coexistence_mix(
+                aqm_factory,
+                n_a,
+                n_b,
+                cc_a=cc_a,
+                cc_b=cc_b,
+                capacity_bps=capacity_mbps * MBPS,
+                rtt=rtt_ms / 1000.0,
+                duration=duration,
+                warmup=warmup,
+                seed=seed,
+            ),
+        ))
+        for n_a, n_b in mixes
+    ]
 
 
 def run_mix_sweep(
@@ -233,89 +211,25 @@ def run_mix_sweep(
     duration: float = 30.0,
     warmup: float = 10.0,
     seed: int = 1,
-    on_error: str = "raise",
-    max_retries: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    supervised: bool = False,
-    supervisor=None,
-    journal=None,
-    resume: bool = False,
-    tracer=None,
+    policy: RunPolicy = RunPolicy(),
 ) -> Dict[Tuple[int, int], ExperimentResult]:
     """Run the Figure 19–20 flow-mix sweep at one operating point.
 
-    With ``on_error="capture"``, failing mixes are retried on bumped
-    seeds and then skipped; the returned dict gains a ``failures``
-    attribute (a :class:`~repro.harness.resilience.RunFailure` list).
-
-    ``jobs``/``cache`` behave as in :func:`run_coexistence_grid`:
-    process-pool fan-out and/or on-disk result caching, with frozen
-    results and unchanged per-mix seeds and ordering.
-    ``supervised``/``supervisor``/``journal``/``resume`` select the
-    watchdogged, journal-backed backend exactly as in
-    :func:`run_coexistence_grid`; the returned dict then carries the
-    :class:`~repro.harness.supervisor.SupervisorReport` as ``recovery``.
-    ``tracer`` observes the sweep exactly as in
-    :func:`run_coexistence_grid`, without changing any result.
+    ``policy`` behaves as in :func:`run_coexistence_grid`.  With
+    ``on_error="capture"``, failing mixes are retried on bumped seeds and
+    then skipped; the returned dict's ``failures`` attribute lists them
+    (a :class:`~repro.harness.resilience.RunFailure` list) and its
+    ``recovery`` attribute carries the run's
+    :class:`~repro.harness.parallel.RunReport` off the in-process route.
     """
-    from repro.harness.experiment import run_experiment
-
-    if on_error not in ("raise", "capture"):
-        raise ValueError(f"on_error must be 'raise' or 'capture' (got {on_error!r})")
-    entries = []
-    for n_a, n_b in mixes:
-        exp = coexistence_mix(
-            aqm_factory,
-            n_a,
-            n_b,
-            cc_a=cc_a,
-            cc_b=cc_b,
-            capacity_bps=capacity_mbps * MBPS,
-            rtt=rtt_ms / 1000.0,
-            duration=duration,
-            warmup=warmup,
-            seed=seed,
-        )
-        entries.append((n_a, n_b, exp))
-
+    cells = mix_cells(aqm_factory, cc_a, cc_b, mixes, capacity_mbps, rtt_ms,
+                      duration, warmup, seed)
+    pairs, report = run_tasks([task for _, task in cells], policy)
     results = _MixResults()
-    use_supervised = supervised or supervisor is not None \
-        or journal is not None or resume
-    if use_supervised or cache is not None or (jobs is not None and jobs != 1):
-        from repro.harness.parallel import SweepTask, execute_tasks
-
-        tasks = [
-            SweepTask(f"mix {cc_a}x{n_a} vs {cc_b}x{n_b}", exp)
-            for n_a, n_b, exp in entries
-        ]
-        if use_supervised:
-            pairs, results.recovery = _execute_supervised_tasks(
-                tasks, jobs=jobs, on_error=on_error, max_retries=max_retries,
-                cache=cache, supervisor=supervisor, journal=journal,
-                resume=resume, tracer=tracer,
-            )
-        else:
-            pairs = execute_tasks(
-                tasks, jobs=jobs, on_error=on_error,
-                max_retries=max_retries, cache=cache, tracer=tracer,
-            )
-        for (n_a, n_b, _exp), (result, failure) in zip(entries, pairs):
-            if result is not None:
-                results[(n_a, n_b)] = result
-            else:
-                results.failures.append(failure)
-        return results
-
-    for n_a, n_b, exp in entries:
-        if on_error == "raise":
-            results[(n_a, n_b)] = run_experiment(exp, tracer=tracer)
-            continue
-        result, failure = run_with_retries(
-            exp, label=f"mix {cc_a}x{n_a} vs {cc_b}x{n_b}", max_retries=max_retries
-        )
+    results.recovery = None if policy.in_process else report
+    for (mix, _task), (result, failure) in zip(cells, pairs):
         if result is not None:
-            results[(n_a, n_b)] = result
+            results[mix] = result
         else:
             results.failures.append(failure)
     return results

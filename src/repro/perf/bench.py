@@ -33,12 +33,14 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.harness.cache import ResultCache
 from repro.harness.factories import coupled_factory, pi2_factory
+from repro.harness.journal import ResultJournal
+from repro.harness.parallel import RunPolicy
 from repro.harness.scenarios import light_tcp
 from repro.harness.sweep import run_coexistence_grid
 from repro.sim.engine import Simulator
@@ -271,7 +273,8 @@ def bench_grid(
 
     start = time.perf_counter()
     parallel = run_coexistence_grid(
-        coupled_factory(), seed=seed, jobs=jobs or 0, **params
+        coupled_factory(), seed=seed, policy=RunPolicy(jobs=jobs or 0),
+        **params
     )
     parallel_wall = time.perf_counter() - start
     digests_equal = all(
@@ -295,12 +298,14 @@ def bench_grid(
         cache = ResultCache(cache_dir)
         start = time.perf_counter()
         cold = run_coexistence_grid(
-            coupled_factory(), seed=seed, cache=cache, **params
+            coupled_factory(), seed=seed,
+            policy=RunPolicy(jobs=jobs or 0, cache=cache), **params
         )
         cold_wall = time.perf_counter() - start
         start = time.perf_counter()
         warm = run_coexistence_grid(
-            coupled_factory(), seed=seed, cache=cache, **params
+            coupled_factory(), seed=seed,
+            policy=RunPolicy(jobs=jobs or 0, cache=cache), **params
         )
         warm_wall = time.perf_counter() - start
         cached_equal = all(
@@ -345,9 +350,10 @@ def bench_supervised(
       against the serial reference.  Either being False fails
       ``repro bench`` exactly like the other determinism gates.
     """
-    from repro.harness.supervisor import SupervisorReport
+    from repro.harness.supervisor import SupervisorConfig
 
     params = dict(grid or QUICK_GRID)
+    supervised = RunPolicy(jobs=jobs or 0, supervisor=SupervisorConfig())
 
     start = time.perf_counter()
     serial = run_coexistence_grid(coupled_factory(), seed=seed, **params)
@@ -356,27 +362,30 @@ def bench_supervised(
 
     start = time.perf_counter()
     bare = run_coexistence_grid(
-        coupled_factory(), seed=seed, jobs=jobs, supervised=True, **params
+        coupled_factory(), seed=seed, policy=supervised, **params
     )
     bare_wall = time.perf_counter() - start
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-journal-") as tmp:
         journal_path = os.path.join(tmp, "grid.journal")
         start = time.perf_counter()
-        journaled = run_coexistence_grid(
-            coupled_factory(), seed=seed, jobs=jobs,
-            journal=journal_path, **params
-        )
+        with ResultJournal(journal_path) as journal:
+            journaled = run_coexistence_grid(
+                coupled_factory(), seed=seed,
+                policy=replace(supervised, journal=journal), **params
+            )
         journal_wall = time.perf_counter() - start
         journal_bytes = os.path.getsize(journal_path)
 
         start = time.perf_counter()
-        resumed = run_coexistence_grid(
-            coupled_factory(), seed=seed, jobs=jobs,
-            journal=journal_path, resume=True, **params
-        )
+        with ResultJournal(journal_path) as journal:
+            resumed = run_coexistence_grid(
+                coupled_factory(), seed=seed,
+                policy=replace(supervised, journal=journal, resume=True),
+                **params
+            )
         resume_wall = time.perf_counter() - start
-        resume_report: SupervisorReport = resumed.recovery
+        resume_report = resumed.recovery
 
     matches_serial = [c.result.digest() for c in journaled] == reference
     matches_resume = [c.result.digest() for c in resumed] == reference
@@ -433,15 +442,21 @@ def bench_figure_resume(scale: float = 0.15, seed: int = 1) -> BenchRecord:
     plain_wall = time.perf_counter() - start
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-figjournal-") as tmp:
+        journal_path = os.path.join(tmp, "fig12.journal")
         start = time.perf_counter()
-        journaled = generate_figure("fig12", scale=scale, journal=tmp)
+        with ResultJournal(journal_path) as journal:
+            journaled = generate_figure(
+                "fig12", scale=scale, policy=RunPolicy(journal=journal)
+            )
         journal_wall = time.perf_counter() - start
-        journal_bytes = os.path.getsize(os.path.join(tmp, "fig12.journal"))
+        journal_bytes = os.path.getsize(journal_path)
 
         start = time.perf_counter()
-        resumed = generate_figure(
-            "fig12", scale=scale, journal=tmp, resume=True
-        )
+        with ResultJournal(journal_path) as journal:
+            resumed = generate_figure(
+                "fig12", scale=scale,
+                policy=RunPolicy(journal=journal, resume=True),
+            )
         resume_wall = time.perf_counter() - start
 
     overhead = journal_wall - plain_wall

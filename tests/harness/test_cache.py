@@ -22,6 +22,7 @@ from repro.harness.cache import (
 from repro.harness.experiment import Experiment, FlowGroup, run_experiment
 from repro.harness.factories import coupled_factory, pi2_factory
 from repro.harness.frozen import FrozenResult, freeze_result
+from repro.harness.parallel import RunPolicy
 from repro.harness.sweep import run_coexistence_grid
 
 
@@ -155,10 +156,10 @@ class TestSweepIntegration:
         kwargs = dict(
             links_mbps=[10], rtts_ms=[10, 20], duration=3.0, warmup=1.0, seed=3
         )
-        cold = run_coexistence_grid(coupled_factory(), cache=cache, **kwargs)
+        cold = run_coexistence_grid(coupled_factory(), policy=RunPolicy(cache=cache), **kwargs)
         assert cache.stats.misses == 2
         assert cache.stats.stores == 2
-        warm = run_coexistence_grid(coupled_factory(), cache=cache, **kwargs)
+        warm = run_coexistence_grid(coupled_factory(), policy=RunPolicy(cache=cache), **kwargs)
         assert cache.stats.hits == 2
         assert cache.stats.stores == 2  # nothing re-stored
         assert [c.result.digest() for c in cold] == [
@@ -168,8 +169,8 @@ class TestSweepIntegration:
     def test_config_change_invalidates(self, tmp_path):
         cache = ResultCache(tmp_path)
         kwargs = dict(links_mbps=[10], rtts_ms=[10], duration=3.0, warmup=1.0)
-        run_coexistence_grid(coupled_factory(), cache=cache, seed=3, **kwargs)
-        run_coexistence_grid(coupled_factory(), cache=cache, seed=4, **kwargs)
+        run_coexistence_grid(coupled_factory(), policy=RunPolicy(cache=cache), seed=3, **kwargs)
+        run_coexistence_grid(coupled_factory(), policy=RunPolicy(cache=cache), seed=4, **kwargs)
         # The seed change must re-simulate, not hit.
         assert cache.stats.hits == 0
         assert cache.stats.stores == 2
@@ -179,7 +180,7 @@ class TestSweepIntegration:
         outcome = run_coexistence_grid(
             lambda rng: PiAqm(rng=rng),
             links_mbps=[10], rtts_ms=[10], duration=3.0, warmup=1.0,
-            cache=cache,
+            policy=RunPolicy(cache=cache),
         )
         assert len(outcome) == 1
         assert outcome[0].result.total_goodput_bps() > 0
@@ -210,10 +211,10 @@ class TestCorruptionHardening:
         cache = ResultCache(tmp_path)
         kwargs = dict(links_mbps=[10], rtts_ms=[10], duration=3.0,
                       warmup=1.0, seed=3)
-        clean = run_coexistence_grid(coupled_factory(), cache=cache, **kwargs)
+        clean = run_coexistence_grid(coupled_factory(), policy=RunPolicy(cache=cache), **kwargs)
         [entry] = list(cache.root.glob("*/*.pkl"))
         entry.write_bytes(b"\x00garbage")
-        again = run_coexistence_grid(coupled_factory(), cache=cache, **kwargs)
+        again = run_coexistence_grid(coupled_factory(), policy=RunPolicy(cache=cache), **kwargs)
         assert cache.stats.corrupt == 1
         assert cache.stats.stores == 2  # re-stored after recompute
         assert [c.result.digest() for c in clean] == [

@@ -23,12 +23,8 @@ import pytest
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import pi2_factory
 from repro.harness.journal import ResultJournal
-from repro.harness.parallel import SweepTask, execute_tasks
-from repro.harness.supervisor import (
-    SupervisorConfig,
-    SupervisorReport,
-    execute_supervised,
-)
+from repro.harness.parallel import RunPolicy, SweepTask, run_tasks
+from repro.harness.supervisor import SupervisorConfig
 
 
 class ChaosPi2Factory:
@@ -112,19 +108,16 @@ def _cells(factory, n=3, **overrides):
 
 def _reference_digests(n=3, **overrides):
     """Digests of the same cells run clean, serial, with plain PI2."""
-    plain = execute_tasks(_cells(pi2_factory(), n=n, **overrides), jobs=1)
+    plain, _ = run_tasks(_cells(pi2_factory(), n=n, **overrides), RunPolicy(jobs=1))
     return [result.digest() for result, _failure in plain]
 
 
 class TestSigkillRecovery:
     def test_killed_worker_is_retried_in_place_bit_exact(self, tmp_path):
         tasks = _cells(KillOnceFactory(tmp_path / "kill.flag"))
-        report = SupervisorReport()
-        out = execute_supervised(
-            tasks, jobs=2,
-            config=SupervisorConfig(backoff_base=0.05),
-            report=report,
-        )
+        out, report = run_tasks(tasks, RunPolicy(
+            jobs=2, supervisor=SupervisorConfig(backoff_base=0.05),
+        ))
         assert [r.digest() for r, _ in out] == _reference_digests()
         kills = [a for a in report.actions if a.action == "retry after killed"]
         assert len(kills) == 1
@@ -134,10 +127,10 @@ class TestSigkillRecovery:
 
     def test_kill_every_attempt_is_a_terminal_failure(self, tmp_path):
         tasks = _cells(KillAlwaysFactory(tmp_path / "k.flag"), n=1)
-        out = execute_supervised(
-            tasks, on_error="capture",
-            config=SupervisorConfig(max_task_failures=1, backoff_base=0.05),
-        )
+        out, _ = run_tasks(tasks, RunPolicy(
+            on_error="capture",
+            supervisor=SupervisorConfig(max_task_failures=1, backoff_base=0.05),
+        ))
         (result, failure) = out[0]
         assert result is None
         assert failure.error_type == "WorkerCrashed"
@@ -157,21 +150,17 @@ class TestSigkillMidGridWithResume:
         factory = KillOnceFactory(tmp_path / "kill.flag")
         tasks = _cells(factory, n=4)
 
-        report = SupervisorReport()
-        first = execute_supervised(
-            tasks[:2], jobs=2, journal=journal,
-            config=SupervisorConfig(backoff_base=0.05),
-            report=report,
-        )
+        first, report = run_tasks(tasks[:2], RunPolicy(
+            jobs=2, journal=ResultJournal(journal),
+            supervisor=SupervisorConfig(backoff_base=0.05),
+        ))
         assert any(a.action == "retry after killed" for a in report.actions)
         assert report.journal_appends == 2
 
-        resumed_report = SupervisorReport()
-        resumed = execute_supervised(
-            tasks, jobs=2, journal=journal, resume=True,
-            config=SupervisorConfig(backoff_base=0.05),
-            report=resumed_report,
-        )
+        resumed, resumed_report = run_tasks(tasks, RunPolicy(
+            jobs=2, journal=ResultJournal(journal), resume=True,
+            supervisor=SupervisorConfig(backoff_base=0.05),
+        ))
         assert resumed_report.replayed == 2   # journal did its job
         assert resumed_report.executed == 2   # only the remainder ran
         reference = _reference_digests(n=4)
@@ -186,24 +175,22 @@ class TestSigkillMidGridWithResume:
 class TestTimeoutExpiry:
     def test_hung_worker_is_killed_and_retried_bit_exact(self, tmp_path):
         tasks = _cells(HangOnceFactory(tmp_path / "hang.flag"), n=2)
-        report = SupervisorReport()
-        out = execute_supervised(
-            tasks, jobs=2,
-            config=SupervisorConfig(task_timeout=5.0, backoff_base=0.05),
-            report=report,
-        )
+        out, report = run_tasks(tasks, RunPolicy(
+            jobs=2,
+            supervisor=SupervisorConfig(task_timeout=5.0, backoff_base=0.05),
+        ))
         assert [r.digest() for r, _ in out] == _reference_digests(n=2)
         timeouts = [a for a in report.actions if a.action == "retry after timeout"]
         assert len(timeouts) == 1
 
     def test_timeout_every_attempt_is_terminal_with_history(self, tmp_path):
         tasks = _cells(HangAlwaysFactory(tmp_path / "h.flag"), n=1)
-        out = execute_supervised(
-            tasks, on_error="capture",
-            config=SupervisorConfig(
+        out, _ = run_tasks(tasks, RunPolicy(
+            on_error="capture",
+            supervisor=SupervisorConfig(
                 task_timeout=1.0, max_task_failures=1, backoff_base=0.05
             ),
-        )
+        ))
         (result, failure) = out[0]
         assert result is None
         assert failure.error_type == "TaskTimeout"
@@ -214,16 +201,14 @@ class TestTimeoutExpiry:
 class TestHeartbeatStall:
     def test_stopped_worker_detected_by_heartbeat_and_retried(self, tmp_path):
         tasks = _cells(StallOnceFactory(tmp_path / "stall.flag"), n=2)
-        report = SupervisorReport()
-        out = execute_supervised(
-            tasks, jobs=2,
-            config=SupervisorConfig(
+        out, report = run_tasks(tasks, RunPolicy(
+            jobs=2,
+            supervisor=SupervisorConfig(
                 heartbeat_interval=0.1,
                 heartbeat_timeout=1.0,
                 backoff_base=0.05,
             ),
-            report=report,
-        )
+        ))
         assert [r.digest() for r, _ in out] == _reference_digests(n=2)
         stalls = [a for a in report.actions if a.action == "retry after stalled"]
         assert len(stalls) == 1
@@ -243,10 +228,10 @@ class TestPoisonTask:
             flows=[FlowGroup(cc="reno", count=2, rtt=0.02)],
         ))
         tasks = [good[0], poison, good[1]]
-        out = execute_supervised(
-            tasks, jobs=2, on_error="capture",
-            config=SupervisorConfig(max_retries=1),
-        )
+        out, _ = run_tasks(tasks, RunPolicy(
+            jobs=2, on_error="capture", max_retries=1,
+            supervisor=SupervisorConfig(),
+        ))
         reference = _reference_digests(n=2)
         assert out[0][0].digest() == reference[0]
         assert out[2][0].digest() == reference[1]
@@ -262,13 +247,14 @@ class TestTornJournalRecovery:
         the intact prefix, re-run the rest, and heal the journal file."""
         journal = tmp_path / "grid.journal"
         tasks = _cells(pi2_factory(), n=3)
-        execute_supervised(tasks[:2], journal=journal)
+        run_tasks(tasks[:2], RunPolicy(
+            supervisor=SupervisorConfig(), journal=ResultJournal(journal)))
         with open(journal, "ab") as handle:
             handle.write(b"\x99" * 17)  # torn half-record from a "crash"
-        report = SupervisorReport()
-        resumed = execute_supervised(
-            tasks, journal=journal, resume=True, report=report
-        )
+        resumed, report = run_tasks(tasks, RunPolicy(
+            supervisor=SupervisorConfig(), journal=ResultJournal(journal),
+            resume=True,
+        ))
         assert report.torn_journal
         assert report.replayed == 2
         assert report.executed == 1
@@ -283,7 +269,8 @@ def _figure_worker(journal_dir: str) -> None:
     pickles by reference under the fork start method)."""
     from repro.harness.figures import generate_figure
 
-    generate_figure("fig12", scale=0.12, journal=journal_dir)
+    generate_figure("fig12", scale=0.12, policy=RunPolicy(
+        journal=ResultJournal(os.path.join(journal_dir, "fig12.journal"))))
 
 
 class TestSigkillMidFigureWithResume:
@@ -322,9 +309,8 @@ class TestSigkillMidFigureWithResume:
         assert survived >= 1
 
         clean = generate_figure("fig12", scale=0.12)
-        resumed = generate_figure(
-            "fig12", scale=0.12, journal=journal_dir, resume=True
-        )
+        resumed = generate_figure("fig12", scale=0.12, policy=RunPolicy(
+            journal=ResultJournal(journal_path), resume=True))
         assert resumed.rows == clean.rows
         assert resumed.report.replayed == survived
         assert resumed.report.replayed + resumed.report.executed == 2

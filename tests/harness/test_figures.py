@@ -1,6 +1,7 @@
 """Tests for the programmatic figure-data generators."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,16 @@ from repro.harness.figures import (
     FigureRunner,
     generate_figure,
 )
+from repro.harness.journal import ResultJournal
+from repro.harness.parallel import RunPolicy
+from repro.harness.supervisor import SupervisorConfig
+
+
+def _journaled(directory, resume=False):
+    """The policy of ``repro figure fig12 --journal DIR [--resume]``."""
+    return RunPolicy(
+        journal=ResultJournal(directory / "fig12.journal"), resume=resume
+    )
 
 
 class TestRegistry:
@@ -91,15 +102,32 @@ def _doomed_experiment():
     )
 
 
+class FailOncePi2Factory:
+    """Picklable PI2 factory whose first construction raises (a flag file
+    records it, across processes): the cell fails on its own seed and
+    would succeed on a seed-bumped retry."""
+
+    def __init__(self, flag_path):
+        self.flag_path = str(flag_path)
+
+    def cache_key(self) -> str:
+        return "fail-once-pi2"
+
+    def __call__(self, rng):
+        try:
+            open(self.flag_path, "x").close()
+        except FileExistsError:
+            return pi2_factory()(rng)
+        raise RuntimeError("first construction fails")
+
+
 class TestFailurePropagation:
     """A broken cell must raise with figure/cell/sim-time context — the
     old ``_run_one`` dropped the failure and returned ``None``."""
 
     def test_failing_cell_raises_contextual_error(self, tmp_path):
-        from repro.harness.journal import ResultJournal
-
         journal = ResultJournal(tmp_path / "fig.journal")
-        runner = FigureRunner("fig12", journal=journal)
+        runner = FigureRunner("fig12", RunPolicy(journal=journal))
         with pytest.raises(FigureGenerationError) as excinfo:
             runner.run_cell("pie", _doomed_experiment())
         err = excinfo.value
@@ -115,14 +143,27 @@ class TestFailurePropagation:
 
     def test_failure_is_not_silently_seed_bumped(self, tmp_path):
         """Figures present specific seeds; the runner must not retry a
-        failing cell on a bumped seed the way sweeps may."""
+        failing cell on a bumped seed the way sweeps may — on any
+        backend (the supervised one used to take its own default of one
+        seed-bump retry)."""
         from repro.harness.cache import ResultCache
 
-        runner = FigureRunner("fig12", cache=ResultCache(tmp_path))
-        with pytest.raises(FigureGenerationError) as excinfo:
-            runner.run_cell("pie", _doomed_experiment())
-        assert "seed" not in str(excinfo.value).lower()
-        assert runner.report.executed == 0
+        for name, policy in (
+            ("cache", RunPolicy(cache=ResultCache(tmp_path))),
+            ("supervised", RunPolicy(supervisor=SupervisorConfig())),
+        ):
+            runner = FigureRunner("fig12", policy)
+            with pytest.raises(FigureGenerationError) as excinfo:
+                runner.run_cell("pie", _doomed_experiment())
+            assert "seed" not in str(excinfo.value).lower()
+            assert runner.report.executed == 0
+            # A cell that fails once must fail, not come back from a retry.
+            fail_once = replace(
+                _doomed_experiment(), max_events=None,
+                aqm_factory=FailOncePi2Factory(tmp_path / f"{name}.flag"),
+            )
+            with pytest.raises(FigureGenerationError):
+                runner.run_cell("pie", fail_once)
 
 
 class TestStageWindows:
@@ -159,14 +200,14 @@ class TestFigureJournalResume:
 
     def test_journaled_resume_is_bit_exact(self, tmp_path):
         plain = generate_figure("fig12", scale=0.12)
-        first = generate_figure("fig12", scale=0.12, journal=tmp_path)
+        first = generate_figure("fig12", scale=0.12, policy=_journaled(tmp_path))
         assert first.rows == plain.rows
         assert first.report.journal_appends == 2
         assert first.report.executed == 2
         assert (tmp_path / "fig12.journal").exists()
 
         resumed = generate_figure(
-            "fig12", scale=0.12, journal=tmp_path, resume=True
+            "fig12", scale=0.12, policy=_journaled(tmp_path, resume=True)
         )
         assert resumed.rows == plain.rows
         assert resumed.report.replayed == 2
@@ -177,25 +218,25 @@ class TestFigureJournalResume:
         """Re-recording a figure piles superseded records into its
         journal; compaction must drop them without changing what a
         resume replays."""
-        from repro.harness.journal import ResultJournal
-
         plain = generate_figure("fig12", scale=0.12)
-        generate_figure("fig12", scale=0.12, journal=tmp_path)
-        generate_figure("fig12", scale=0.12, journal=tmp_path)  # duplicates
+        generate_figure("fig12", scale=0.12, policy=_journaled(tmp_path))
+        generate_figure(  # duplicates
+            "fig12", scale=0.12, policy=_journaled(tmp_path)
+        )
         journal_path = tmp_path / "fig12.journal"
         assert len(ResultJournal(journal_path).read().records) == 4
 
         dropped = ResultJournal(journal_path).compact()
         assert dropped == 2
         resumed = generate_figure(
-            "fig12", scale=0.12, journal=tmp_path, resume=True
+            "fig12", scale=0.12, policy=_journaled(tmp_path, resume=True)
         )
         assert resumed.rows == plain.rows
         assert resumed.report.replayed == 2
 
     def test_resume_without_journal_rejected(self):
         with pytest.raises(ConfigError, match="journal"):
-            generate_figure("fig12", scale=0.12, resume=True)
+            generate_figure("fig12", scale=0.12, policy=RunPolicy(resume=True))
 
     def test_report_attached_even_for_analytic_figures(self):
         data = generate_figure("fig05")

@@ -4,7 +4,7 @@ and the picklability guard.
 The contract under test is the strongest one the module makes: for a
 fixed seed, results are **bit-exact identical** (``digest()`` equality)
 whether cells run serially, in a process pool, or via
-:func:`execute_tasks` directly — and failures come back in the same
+:func:`run_tasks` directly — and failures come back in the same
 slots either way.
 """
 
@@ -16,7 +16,7 @@ from repro.aqm.pi import PiAqm
 from repro.errors import ConfigError, ParallelExecutionError
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import coupled_factory, pi2_factory
-from repro.harness.parallel import SweepTask, execute_tasks, resolve_jobs
+from repro.harness.parallel import RunPolicy, SweepTask, resolve_jobs, run_tasks
 from repro.harness.repeat import repeat_experiment
 from repro.harness.sweep import run_coexistence_grid, run_mix_sweep
 
@@ -37,6 +37,28 @@ class ExplodingFactory:
 
         aqm.controller.update = poisoned
         return aqm
+
+
+class FailOnceFactory:
+    """Picklable PI2 factory whose first construction raises.
+
+    The first attempt of a task fails; its seed-bumped retry succeeds.
+    A flag file records the first call, so the failure happens once
+    across processes.
+    """
+
+    def __init__(self, flag_path):
+        self.flag_path = str(flag_path)
+
+    def cache_key(self) -> str:
+        return "fail-once-pi2"
+
+    def __call__(self, rng):
+        try:
+            open(self.flag_path, "x").close()
+        except FileExistsError:
+            return pi2_factory()(rng)
+        raise RuntimeError("first construction fails")
 
 
 def _quick_experiment(**overrides):
@@ -70,7 +92,9 @@ class TestGridEquivalence:
             links_mbps=[10], rtts_ms=[10, 20], duration=3.0, warmup=1.0, seed=3
         )
         serial = run_coexistence_grid(coupled_factory(), **kwargs)
-        parallel = run_coexistence_grid(coupled_factory(), jobs=2, **kwargs)
+        parallel = run_coexistence_grid(
+            coupled_factory(), policy=RunPolicy(jobs=2), **kwargs
+        )
         assert [(c.link_mbps, c.rtt_ms) for c in serial] == [
             (c.link_mbps, c.rtt_ms) for c in parallel
         ]
@@ -83,7 +107,9 @@ class TestGridEquivalence:
             links_mbps=[10], rtts_ms=[10], duration=3.0, warmup=1.0, seed=3
         )
         serial = run_coexistence_grid(coupled_factory(), **kwargs)
-        one_job = run_coexistence_grid(coupled_factory(), jobs=1, **kwargs)
+        one_job = run_coexistence_grid(
+            coupled_factory(), policy=RunPolicy(jobs=1), **kwargs
+        )
         assert [c.result.digest() for c in serial] == [
             c.result.digest() for c in one_job
         ]
@@ -94,10 +120,23 @@ class TestGridEquivalence:
             duration=3.0, warmup=1.0, seed=3,
         )
         serial = run_mix_sweep(coupled_factory(), **kwargs)
-        parallel = run_mix_sweep(coupled_factory(), jobs=2, **kwargs)
+        parallel = run_mix_sweep(
+            coupled_factory(), policy=RunPolicy(jobs=2), **kwargs
+        )
         assert set(serial) == set(parallel)
         for mix in serial:
             assert serial[mix].digest() == parallel[mix].digest()
+
+
+    def test_figure_parallel_rows_match_serial(self):
+        from repro.harness.figures import generate_figure
+
+        serial = generate_figure("fig12", scale=0.12)
+        parallel = generate_figure(
+            "fig12", scale=0.12, policy=RunPolicy(jobs=2)
+        )
+        assert parallel.rows == serial.rows
+        assert parallel.report.executed == 2
 
 
 class TestRepeatEquivalence:
@@ -108,7 +147,9 @@ class TestRepeatEquivalence:
             "goodput": lambda r: r.total_goodput_bps(),
         }
         serial = repeat_experiment(exp, metrics, seeds=(1, 2, 3))
-        parallel = repeat_experiment(exp, metrics, seeds=(1, 2, 3), jobs=2)
+        parallel = repeat_experiment(
+            exp, metrics, seeds=(1, 2, 3), policy=RunPolicy(jobs=2)
+        )
         for name in metrics:
             assert serial[name].samples == parallel[name].samples
 
@@ -126,8 +167,12 @@ class TestFailureParity:
             SweepTask("doomed", bad),
             SweepTask("ok-b", replace(good, seed=2)),
         ]
-        serial = execute_tasks(tasks, jobs=1, on_error="capture", max_retries=0)
-        parallel = execute_tasks(tasks, jobs=2, on_error="capture", max_retries=0)
+        serial, _ = run_tasks(
+            tasks, RunPolicy(jobs=1, on_error="capture", max_retries=0)
+        )
+        parallel, _ = run_tasks(
+            tasks, RunPolicy(jobs=2, on_error="capture", max_retries=0)
+        )
         for (r_s, f_s), (r_p, f_p) in zip(serial, parallel):
             assert (r_s is None) == (r_p is None)
             if r_s is not None:
@@ -145,17 +190,23 @@ class TestFailureParity:
             SweepTask("second-bad", _quick_experiment(max_events=400, seed=2)),
         ]
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_tasks(tasks, jobs=2, on_error="raise", max_retries=0)
+            run_tasks(tasks, RunPolicy(jobs=2, on_error="raise", max_retries=0))
         assert excinfo.value.label == "first-bad"
         assert excinfo.value.error_type == "WatchdogExceeded"
 
     def test_grid_capture_parity_with_exploding_factory(self):
         kwargs = dict(
             links_mbps=[10], rtts_ms=[10, 20], duration=3.0, warmup=1.0,
-            on_error="capture", max_retries=0,
         )
-        serial = run_coexistence_grid(ExplodingFactory(), **kwargs)
-        parallel = run_coexistence_grid(ExplodingFactory(), jobs=2, **kwargs)
+        serial = run_coexistence_grid(
+            ExplodingFactory(),
+            policy=RunPolicy(on_error="capture", max_retries=0), **kwargs
+        )
+        parallel = run_coexistence_grid(
+            ExplodingFactory(),
+            policy=RunPolicy(jobs=2, on_error="capture", max_retries=0),
+            **kwargs
+        )
         assert len(serial) == len(parallel) == 0
         assert [f.label for f in serial.failures] == [
             f.label for f in parallel.failures
@@ -167,16 +218,54 @@ class TestFailureParity:
 
     def test_invalid_on_error_rejected(self):
         with pytest.raises(ValueError):
-            execute_tasks([SweepTask("x", _quick_experiment())], on_error="ignore")
+            run_tasks(
+                [SweepTask("x", _quick_experiment())], RunPolicy(on_error="ignore")
+            )
+
+
+class TestRetriedResultsStayUnderTheirOwnSeed:
+    """A seed-bumped retry's result answers a different experiment: it
+    must never be cached or journaled under the requested seed's key."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_bumped_result_is_not_cached_as_the_requested_seed(
+        self, tmp_path, shared
+    ):
+        from repro.harness.cache import ResultCache, SharedResultCache
+        from repro.harness.journal import ResultJournal
+        from repro.harness.resilience import RETRY_SEED_STRIDE
+
+        cache_type = SharedResultCache if shared else ResultCache
+        cache = cache_type(tmp_path / "cache")
+        journal = ResultJournal(tmp_path / "run.journal")
+        exp = _quick_experiment(
+            aqm_factory=FailOnceFactory(tmp_path / "flag"), seed=1
+        )
+        [(retried, failure)], report = run_tasks(
+            [SweepTask("cell", exp)],
+            RunPolicy(on_error="capture", max_retries=1, cache=cache,
+                      journal=journal),
+        )
+        assert failure is None
+        assert retried.experiment.seed == 1 + RETRY_SEED_STRIDE
+        assert report.journal_appends == 0
+        assert ResultJournal(tmp_path / "run.journal").read().records == []
+
+        [(result, _)], report = run_tasks(
+            [SweepTask("cell", exp)],
+            RunPolicy(on_error="raise", max_retries=0, cache=cache),
+        )
+        assert report.cache_hits == 0
+        assert result.experiment.seed == 1
 
 
 class TestPicklability:
     def test_lambda_factory_rejected_with_guidance(self):
         exp = _quick_experiment(aqm_factory=lambda rng: PiAqm(rng=rng))
         with pytest.raises(ConfigError) as excinfo:
-            execute_tasks(
+            run_tasks(
                 [SweepTask("a", exp), SweepTask("b", replace(exp, seed=2))],
-                jobs=2,
+                RunPolicy(jobs=2),
             )
         message = str(excinfo.value)
         assert "pickled" in message
@@ -184,7 +273,9 @@ class TestPicklability:
 
     def test_lambda_factory_fine_in_process(self):
         exp = _quick_experiment(aqm_factory=lambda rng: PiAqm(rng=rng))
-        [(result, failure)] = execute_tasks([SweepTask("a", exp)], jobs=1)
+        [(result, failure)], _ = run_tasks(
+            [SweepTask("a", exp)], RunPolicy(jobs=1)
+        )
         assert failure is None
         assert result.total_goodput_bps() > 0
 
@@ -193,7 +284,7 @@ class TestFrozenResults:
     def test_parallel_results_keep_metric_api(self):
         outcome = run_coexistence_grid(
             coupled_factory(), links_mbps=[10], rtts_ms=[10],
-            duration=3.0, warmup=1.0, jobs=2,
+            duration=3.0, warmup=1.0, policy=RunPolicy(jobs=2),
         )
         [cell] = outcome
         summary = cell.result.sojourn_summary()

@@ -10,6 +10,7 @@ from repro.aqm.pi import PiAqm
 from repro.errors import ConfigError, ControllerDivergence
 from repro.harness.experiment import Experiment, FlowGroup, run_experiment
 from repro.harness.factories import pi2_factory
+from repro.harness.parallel import RunPolicy
 from repro.harness.repeat import repeat_experiment
 from repro.harness.resilience import (
     RETRY_SEED_STRIDE,
@@ -110,8 +111,7 @@ class TestGridCapture:
             rtts_ms=[10, 20, 40],
             duration=3.0,
             warmup=1.0,
-            on_error="capture",
-            max_retries=1,
+            policy=RunPolicy(on_error="capture", max_retries=1),
         )
         assert len(outcome) == 2  # cells rtt=20, rtt=40 survived
         assert not outcome.complete
@@ -131,12 +131,14 @@ class TestGridCapture:
                 rtts_ms=[10],
                 duration=3.0,
                 warmup=1.0,
-                on_error="raise",
+                policy=RunPolicy(on_error="raise"),
             )
 
     def test_grid_invalid_on_error_rejected(self):
         with pytest.raises(ValueError):
-            run_coexistence_grid(pi2_factory(), on_error="ignore")
+            run_coexistence_grid(
+                pi2_factory(), policy=RunPolicy(on_error="ignore")
+            )
 
     def test_clean_grid_is_complete(self):
         outcome = run_coexistence_grid(
@@ -145,7 +147,7 @@ class TestGridCapture:
             rtts_ms=[10],
             duration=3.0,
             warmup=1.0,
-            on_error="capture",
+            policy=RunPolicy(on_error="capture"),
         )
         assert outcome.complete
         assert outcome.failures == []
@@ -158,8 +160,7 @@ class TestGridCapture:
             capacity_mbps=10,
             duration=3.0,
             warmup=1.0,
-            on_error="capture",
-            max_retries=1,
+            policy=RunPolicy(on_error="capture", max_retries=1),
         )
         assert len(results) == 1
         assert len(results.failures) == 1
@@ -172,8 +173,7 @@ class TestRepeatCapture:
             exp,
             {"delay": lambda r: r.sojourn_summary()["mean"]},
             seeds=(1, 2, 3),
-            on_error="capture",
-            max_retries=0,
+            policy=RunPolicy(on_error="capture", max_retries=0),
         )
         # Seeds 1 and 2 got poisoned AQMs; only seed 3 contributes.
         assert len(outcome.failures) == 2

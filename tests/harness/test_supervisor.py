@@ -13,14 +13,13 @@ import pytest
 from repro.errors import ConfigError, ParallelExecutionError
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import pi2_factory
-from repro.harness.parallel import SweepTask, execute_tasks
+from repro.harness.journal import ResultJournal
+from repro.harness.parallel import RunPolicy, RunReport, SweepTask, run_tasks
 from repro.harness.resilience import RETRY_SEED_STRIDE
-from repro.harness.supervisor import (
-    SupervisorConfig,
-    SupervisorReport,
-    execute_supervised,
-    run_supervised_tasks,
-)
+from repro.harness.supervisor import SupervisorConfig
+
+#: The supervised backend with its default configuration.
+SUPERVISED = SupervisorConfig()
 
 
 def _quick_experiment(**overrides):
@@ -47,7 +46,7 @@ class TestConfigValidation:
             {"task_timeout": -1.0},
             {"heartbeat_interval": 0.0},
             {"heartbeat_timeout": -2.0},
-            {"max_retries": -1},
+            {"heartbeat_interval": -1.0},
             {"max_task_failures": -1},
             {"backoff_factor": 0.5},
             {"backoff_base": -1.0},
@@ -61,21 +60,28 @@ class TestConfigValidation:
     def test_defaults_valid(self):
         SupervisorConfig()
 
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(ConfigError):
+            RunPolicy(max_retries=-1, supervisor=SUPERVISED)
+
     def test_resume_without_journal_rejected(self):
         with pytest.raises(ConfigError):
-            execute_supervised(_tasks(1), resume=True)
+            run_tasks(_tasks(1), RunPolicy(supervisor=SUPERVISED, resume=True))
 
     def test_invalid_on_error_rejected(self):
         with pytest.raises(ValueError):
-            execute_supervised(_tasks(1), on_error="ignore")
+            run_tasks(
+                _tasks(1), RunPolicy(supervisor=SUPERVISED, on_error="ignore")
+            )
 
 
 class TestParity:
     def test_supervised_matches_plain_executor_bit_exact(self):
         tasks = _tasks(3)
-        plain = execute_tasks(tasks, jobs=1)
-        report = SupervisorReport()
-        supervised = execute_supervised(tasks, jobs=2, report=report)
+        plain, _ = run_tasks(tasks, RunPolicy(jobs=1))
+        supervised, report = run_tasks(
+            tasks, RunPolicy(jobs=2, supervisor=SUPERVISED)
+        )
         assert [r.digest() for r, _ in supervised] == [
             r.digest() for r, _ in plain
         ]
@@ -91,10 +97,12 @@ class TestParity:
             SweepTask("ok", _quick_experiment()),
             SweepTask("doomed", _quick_experiment(max_events=500, seed=9)),
         ]
-        plain = execute_tasks(tasks, jobs=1, on_error="capture", max_retries=1)
-        supervised = execute_supervised(
-            tasks, jobs=2, on_error="capture",
-            config=SupervisorConfig(max_retries=1),
+        plain, _ = run_tasks(
+            tasks, RunPolicy(jobs=1, on_error="capture", max_retries=1)
+        )
+        supervised, _ = run_tasks(
+            tasks, RunPolicy(jobs=2, on_error="capture", max_retries=1,
+                             supervisor=SUPERVISED),
         )
         (_, plain_fail) = plain[1]
         (none_result, sup_fail) = supervised[1]
@@ -116,7 +124,9 @@ class TestParity:
             SweepTask("second-bad", _quick_experiment(max_events=400, seed=3)),
         ]
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_supervised(tasks, jobs=2, on_error="raise")
+            run_tasks(
+                tasks, RunPolicy(jobs=2, on_error="raise", supervisor=SUPERVISED)
+            )
         assert excinfo.value.label == "first-bad"
         assert excinfo.value.error_type == "WatchdogExceeded"
 
@@ -124,8 +134,9 @@ class TestParity:
         """Serial raise-mode never retries; supervised must match."""
         tasks = [SweepTask("doomed", _quick_experiment(max_events=500, seed=5))]
         with pytest.raises(ParallelExecutionError):
-            execute_supervised(
-                tasks, on_error="raise", config=SupervisorConfig(max_retries=3)
+            run_tasks(
+                tasks, RunPolicy(on_error="raise", max_retries=3,
+                                 supervisor=SUPERVISED)
             )
 
 
@@ -135,19 +146,18 @@ class TestJournalIntegration:
 
         journal = tmp_path / "run.journal"
         tasks = _tasks(2)
-        report = SupervisorReport()
-        execute_supervised(tasks, journal=journal, report=report)
+        _, report = run_tasks(tasks, RunPolicy(
+            supervisor=SUPERVISED, journal=ResultJournal(journal)))
         assert report.journal_appends == 2
         assert len(ResultJournal(journal).read().records) == 2
 
     def test_resume_replays_instead_of_executing(self, tmp_path):
         journal = tmp_path / "run.journal"
         tasks = _tasks(3)
-        first = execute_supervised(tasks, journal=journal)
-        report = SupervisorReport()
-        resumed = execute_supervised(
-            tasks, journal=journal, resume=True, report=report
-        )
+        first, _ = run_tasks(tasks, RunPolicy(
+            supervisor=SUPERVISED, journal=ResultJournal(journal)))
+        resumed, report = run_tasks(tasks, RunPolicy(
+            supervisor=SUPERVISED, journal=ResultJournal(journal), resume=True))
         assert report.replayed == 3
         assert report.executed == 0
         assert [r.digest() for r, _ in resumed] == [
@@ -157,14 +167,13 @@ class TestJournalIntegration:
     def test_resume_executes_only_the_remainder(self, tmp_path):
         journal = tmp_path / "run.journal"
         tasks = _tasks(4)
-        execute_supervised(tasks[:2], journal=journal)
-        report = SupervisorReport()
-        full = execute_supervised(
-            tasks, journal=journal, resume=True, report=report
-        )
+        run_tasks(tasks[:2], RunPolicy(
+            supervisor=SUPERVISED, journal=ResultJournal(journal)))
+        full, report = run_tasks(tasks, RunPolicy(
+            supervisor=SUPERVISED, journal=ResultJournal(journal), resume=True))
         assert report.replayed == 2
         assert report.executed == 2
-        reference = execute_tasks(tasks, jobs=1)
+        reference, _ = run_tasks(tasks, RunPolicy(jobs=1))
         assert [r.digest() for r, _ in full] == [
             r.digest() for r, _ in reference
         ]
@@ -174,17 +183,15 @@ class TestJournalIntegration:
 
         cache = ResultCache(tmp_path / "cache")
         tasks = _tasks(2)
-        execute_tasks(tasks, jobs=1, cache=cache)  # warm the cache
+        run_tasks(tasks, RunPolicy(jobs=1, cache=cache))  # warm the cache
         journal = tmp_path / "run.journal"
-        report = SupervisorReport()
-        execute_supervised(tasks, cache=cache, journal=journal, report=report)
+        _, report = run_tasks(tasks, RunPolicy(
+            supervisor=SUPERVISED, cache=cache, journal=ResultJournal(journal)))
         assert report.cache_hits == 2
         assert report.executed == 0
         assert report.journal_appends == 2
-        resumed_report = SupervisorReport()
-        execute_supervised(
-            tasks, journal=journal, resume=True, report=resumed_report
-        )
+        _, resumed_report = run_tasks(tasks, RunPolicy(
+            supervisor=SUPERVISED, journal=ResultJournal(journal), resume=True))
         assert resumed_report.replayed == 2
 
 
@@ -197,12 +204,11 @@ class TestDegradation:
 
         monkeypatch.setattr(supervisor_module, "_start_worker", broken_spawn)
         tasks = _tasks(2)
-        report = SupervisorReport()
         config = SupervisorConfig(max_pool_failures=2, backoff_base=0.01)
-        out = execute_supervised(tasks, jobs=2, config=config, report=report)
+        out, report = run_tasks(tasks, RunPolicy(jobs=2, supervisor=config))
         assert report.degraded
         assert any(a.action == "degrade to serial" for a in report.actions)
-        reference = execute_tasks(tasks, jobs=1)
+        reference, _ = run_tasks(tasks, RunPolicy(jobs=1))
         assert [r.digest() for r, _ in out] == [
             r.digest() for r, _ in reference
         ]
@@ -215,31 +221,28 @@ class TestDegradation:
 
         monkeypatch.setattr(supervisor_module, "_start_worker", broken_spawn)
         tasks = [SweepTask("doomed", _quick_experiment(max_events=500, seed=4))]
-        config = SupervisorConfig(
-            max_pool_failures=1, max_retries=1, backoff_base=0.01
-        )
-        out = execute_supervised(
-            tasks, jobs=2, on_error="capture", config=config
-        )
+        config = SupervisorConfig(max_pool_failures=1, backoff_base=0.01)
+        out, _ = run_tasks(tasks, RunPolicy(
+            jobs=2, on_error="capture", max_retries=1, supervisor=config))
         (result, failure) = out[0]
         assert result is None
         assert failure.seeds_tried == (4, 4 + RETRY_SEED_STRIDE)
 
 
-class TestRunSupervisedTasks:
+class TestRunTasksSupervised:
     def test_returns_pairs_and_report(self):
-        pairs, report = run_supervised_tasks(_tasks(2), jobs=2)
+        pairs, report = run_tasks(
+            _tasks(2), RunPolicy(jobs=2, supervisor=SUPERVISED)
+        )
         assert len(pairs) == 2
         assert report.executed == 2
 
-    def test_explicit_config_wins_over_max_retries(self):
-        config = SupervisorConfig(max_retries=0)
+    def test_policy_max_retries_bounds_seed_bumps(self):
         tasks = [SweepTask("doomed", _quick_experiment(max_events=500, seed=6))]
-        pairs, _report = run_supervised_tasks(
-            tasks, on_error="capture", max_retries=5, supervisor=config
-        )
+        pairs, _report = run_tasks(tasks, RunPolicy(
+            on_error="capture", max_retries=0, supervisor=SUPERVISED))
         (_, failure) = pairs[0]
-        assert failure.seeds_tried == (6,)  # config's 0 retries, not 5
+        assert failure.seeds_tried == (6,)  # the policy's 0 retries
 
 
 class TestSweepPlumbing:
@@ -252,7 +255,8 @@ class TestSweepPlumbing:
         )
         serial = run_coexistence_grid(coupled_factory(), **kwargs)
         supervised = run_coexistence_grid(
-            coupled_factory(), jobs=2, supervised=True, **kwargs
+            coupled_factory(), policy=RunPolicy(jobs=2, supervisor=SUPERVISED),
+            **kwargs
         )
         assert [c.result.digest() for c in serial] == [
             c.result.digest() for c in supervised
@@ -270,7 +274,9 @@ class TestSweepPlumbing:
             duration=2.0, warmup=0.5, seed=3,
         )
         serial = run_mix_sweep(coupled_factory(), **kwargs)
-        supervised = run_mix_sweep(coupled_factory(), supervised=True, **kwargs)
+        supervised = run_mix_sweep(
+            coupled_factory(), policy=RunPolicy(supervisor=SUPERVISED), **kwargs
+        )
         assert set(serial) == set(supervised)
         for mix in serial:
             assert serial[mix].digest() == supervised[mix].digest()
@@ -283,7 +289,7 @@ class TestSweepPlumbing:
         metrics = {"delay": lambda r: r.sojourn_summary()["mean"]}
         serial = repeat_experiment(exp, metrics, seeds=(1, 2))
         supervised = repeat_experiment(
-            exp, metrics, seeds=(1, 2), supervised=True
+            exp, metrics, seeds=(1, 2), policy=RunPolicy(supervisor=SUPERVISED)
         )
         assert serial["delay"].samples == supervised["delay"].samples
         assert supervised.recovery.executed == 2
@@ -295,10 +301,13 @@ class TestSweepPlumbing:
         metrics = {"delay": lambda r: r.sojourn_summary()["mean"]}
         journal = tmp_path / "repeat.journal"
         first = repeat_experiment(
-            exp, metrics, seeds=(1, 2), journal=journal
+            exp, metrics, seeds=(1, 2), policy=RunPolicy(
+                supervisor=SUPERVISED, journal=ResultJournal(journal))
         )
         resumed = repeat_experiment(
-            exp, metrics, seeds=(1, 2), journal=journal, resume=True
+            exp, metrics, seeds=(1, 2), policy=RunPolicy(
+                supervisor=SUPERVISED, journal=ResultJournal(journal),
+                resume=True)
         )
         assert first["delay"].samples == resumed["delay"].samples
         assert resumed.recovery.replayed == 2
@@ -311,7 +320,9 @@ class TestSweepPlumbing:
 
         exp = _quick_experiment(aqm_factory=lambda rng: PiAqm(rng=rng))
         with pytest.raises(ConfigError) as excinfo:
-            execute_supervised([SweepTask("lambda-cell", exp)])
+            run_tasks(
+                [SweepTask("lambda-cell", exp)], RunPolicy(supervisor=SUPERVISED)
+            )
         assert "pickled" in str(excinfo.value)
 
 
@@ -324,12 +335,13 @@ class TestSharedCacheScheduling:
         from repro.harness.supervisor import _Supervisor
 
         cache = SharedResultCache(tmp_path)
+        tasks = _tasks(n)
         sup = _Supervisor(
-            _tasks(n), jobs=1, on_error="capture",
-            config=SupervisorConfig(), cache=cache, journal=None,
-            report=SupervisorReport(),
+            tasks, range(n), [cache.key_for(t.experiment) for t in tasks],
+            RunPolicy(jobs=1, on_error="capture", cache=cache,
+                      supervisor=SUPERVISED),
+            report=RunReport(), settle=lambda *args, **kwargs: None,
         )
-        sup.prefill(resume=False)
         assert len(sup.queue) == n
         return sup, cache
 
@@ -390,7 +402,8 @@ class TestSharedCacheScheduling:
         from repro.harness.cache import SharedResultCache
 
         tasks = _tasks(2)
-        plain = execute_tasks(tasks, jobs=1)
+        # The pool backend returns frozen results, which the cache stores.
+        plain, _ = run_tasks(tasks, RunPolicy(jobs=2))
         cache = SharedResultCache(tmp_path / "shared")
         key0 = cache.key_for(tasks[0].experiment)
         lock_path = cache._lock_path(key0)
@@ -407,11 +420,9 @@ class TestSharedCacheScheduling:
 
         winner = threading.Thread(target=publish_and_release)
         winner.start()
-        report = SupervisorReport()
         try:
-            supervised = execute_supervised(
-                tasks, jobs=1, cache=cache, report=report,
-            )
+            supervised, report = run_tasks(tasks, RunPolicy(
+                jobs=1, cache=cache, supervisor=SUPERVISED))
         finally:
             winner.join()
         assert [r.digest() for r, _ in supervised] == [

@@ -25,8 +25,8 @@ import pytest
 from repro.harness import MBPS, light_tcp, run_experiment
 from repro.harness.factories import coupled_factory, pi2_factory
 from repro.harness.frozen import freeze_result
-from repro.harness.parallel import SweepTask, execute_tasks
-from repro.harness.supervisor import run_supervised_tasks
+from repro.harness.parallel import RunPolicy, SweepTask, run_tasks
+from repro.harness.supervisor import SupervisorConfig
 from repro.obs import (
     CATEGORIES,
     TRACE_SCHEMA_VERSION,
@@ -102,8 +102,8 @@ class TestDigestParity:
         exp = _experiment()
         reference = run_experiment(exp).digest()
         tracer = RecordingTracer()
-        pairs = execute_tasks(
-            [SweepTask("cell", exp)], jobs=1, tracer=tracer
+        pairs, _report = run_tasks(
+            [SweepTask("cell", exp)], RunPolicy(jobs=1, tracer=tracer)
         )
         assert pairs[0][1] is None
         assert pairs[0][0].digest() == reference
@@ -113,8 +113,9 @@ class TestDigestParity:
         exp = _experiment(duration=3.0)
         reference = run_experiment(exp).digest()
         tracer = RecordingTracer()
-        pairs, report = run_supervised_tasks(
-            [SweepTask("cell", exp)], jobs=1, tracer=tracer
+        pairs, report = run_tasks(
+            [SweepTask("cell", exp)],
+            RunPolicy(jobs=1, supervisor=SupervisorConfig(), tracer=tracer),
         )
         assert pairs[0][0].digest() == reference
         starts = tracer.by_event("task_start")

@@ -144,6 +144,17 @@ class TestFigure:
         assert "fig12" in text
 
 
+class TestSweepFlags:
+    @pytest.mark.parametrize("command", [("grid",), ("figure", "fig12")])
+    def test_compact_every_without_journal_rejected(self, command):
+        """--compact-every only acts on a journal; alone it used to be
+        silently ignored."""
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="--journal"):
+            run_cli(*command, "--compact-every", "5", "--no-cache")
+
+
 class TestFluid:
     def test_reports_steady_state(self):
         code, text = run_cli("fluid", "--flows", "5", "--duration", "30")
